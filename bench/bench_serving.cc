@@ -1,43 +1,43 @@
-// Multi-tenant serving benchmark: open-loop synthetic clients against
-// the ServingEngine (DESIGN.md §13), at 1 and 8 workers with the
-// cross-request batcher on and off.
+// Multi-tenant serving benchmark: closed-loop worker scaling of the
+// ServingEngine (DESIGN.md §13).
 //
-// Reports, and merges into BENCH_serving.json:
-//   - sustained QPS and e2e p50/p99/p999 per configuration (the
-//     acceptance metric: >= 500 QPS sustained at 8 workers);
-//   - shed / reject rates under ~1.5x-capacity overload with mixed
-//     deadline tiers (none / generous / infeasibly tight);
-//   - the batch-occupancy histogram from the cross-request decoder
-//     (how many queries actually shared each gate-GEMM tick).
+// For each beam width in {1, 5} and worker count in {1, 2, 4, 8}, a
+// fresh engine serves a fixed number of queries from 2 x workers
+// closed-loop clients (each submits, waits for the answer, submits the
+// next). Reports, and writes to BENCH_serving.json:
+//   - completed QPS and e2e p50/p99 per (beam, workers) cell;
+//   - the scaling ratio QPS(w) / QPS(1) per beam width;
+//   - nproc and the git commit the binary was run from, so the record
+//     says which machine and code it describes.
 //
 //   ./build/bench/bench_serving [--smoke]
 //
 // --smoke trains a tiny corpus, submits the smoke queries concurrently
 // through the engine and asserts every ServedResult is bitwise
 // identical (tokens, float score bits, statuses) to the sequential
-// pipeline.Query() answer, then skips the JSON merge; CI uses it to
+// pipeline.Query() answer, then skips the JSON write; CI uses it to
 // gate Release builds. The committed BENCH_serving.json comes from a
 // full local run.
 
 #include "bench/bench_util.h"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
-// Synthetic clients need to sleep until their arrival time and block in
-// Ticket::Take(), which the shared compute pool must never do; the
-// bench drives the engine the way external clients would.
+// Closed-loop clients block in Ticket::Take(), which the shared compute
+// pool must never do; the bench drives the engine the way external
+// clients would.
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "bench/bench_json.h"
-#include "common/metrics.h"
-#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "serving/serving.h"
 
@@ -61,166 +61,80 @@ uint64_t PercentileNs(std::vector<uint64_t> samples, double q) {
   return samples[idx];
 }
 
-/// One synthetic client: a question, a Poisson-process arrival offset
-/// and a deadline tier.
-struct ClientPlan {
-  const data::Example* example = nullptr;
-  uint64_t arrival_offset_ns = 0;
-  uint64_t deadline_ns = 0;  // 0 = no deadline
-};
-
-/// Open-loop arrival schedule: exponential interarrivals at
-/// `offered_qps`, questions drawn uniformly from `corpus`, deadlines
-/// mixed 35% none / 50% generous / 15% infeasibly tight (tight ones
-/// exercise admission shedding; generous ones shed only when the queue
-/// backs up).
-std::vector<ClientPlan> MakePlan(const data::Dataset& corpus, int clients,
-                                 double offered_qps, uint64_t generous_ns,
-                                 uint64_t tight_ns, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<ClientPlan> plan;
-  plan.reserve(static_cast<size_t>(clients));
-  double t_ns = 0.0;
-  for (int i = 0; i < clients; ++i) {
-    ClientPlan c;
-    c.example =
-        &corpus.examples[rng.NextUint64(corpus.examples.size())];
-    const double u = static_cast<double>(rng.NextFloat());
-    t_ns += -std::log(1.0 - u) / offered_qps * 1e9;
-    c.arrival_offset_ns = static_cast<uint64_t>(t_ns);
-    const float tier = rng.NextFloat();
-    if (tier < 0.35f) {
-      c.deadline_ns = 0;
-    } else if (tier < 0.85f) {
-      c.deadline_ns = generous_ns;
-    } else {
-      c.deadline_ns = tight_ns;
-    }
-    plan.push_back(c);
+/// `git describe` of the working directory ("unknown" outside a git
+/// checkout); "-dirty" marks uncommitted changes in tracked files.
+std::string CommitId() {
+  std::FILE* pipe =
+      popen("git describe --always --dirty --abbrev=12 2>/dev/null", "r");
+  if (pipe == nullptr) return "unknown";
+  char buf[128] = {0};
+  std::string out;
+  if (std::fgets(buf, sizeof(buf), pipe) != nullptr) out = buf;
+  const int rc = pclose(pipe);
+  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) {
+    out.pop_back();
   }
-  return plan;
+  return rc == 0 && !out.empty() ? out : "unknown";
+}
+
+core::QueryRequest RequestFor(const data::Example& ex) {
+  core::QueryRequest request;
+  request.schema_ref = core::SchemaRef::Table(ex.table.get());
+  request.tokens = ex.tokens;
+  request.collect_timings = false;
+  return request;
 }
 
 struct LoadStats {
-  double wall_s = 0.0;
-  double qps = 0.0;  // successfully answered queries / wall_s
+  double qps = 0.0;  // successfully answered queries / wall second
   long long ok = 0;
   uint64_t p50_ns = 0;
   uint64_t p99_ns = 0;
-  uint64_t p999_ns = 0;
-  long long admitted = 0;
-  long long shed = 0;
-  long long rejected = 0;
-  long long deadline_misses = 0;
-  long long batch_ticks = 0;
-  long long batch_rows = 0;
-  std::vector<int64_t> occupancy;
 };
 
-/// Drives `plan` through a fresh engine: 16 submitter threads multiplex
-/// the synthetic clients, each sleeping until its client's arrival time
-/// (open loop: arrivals never wait for responses), then collect every
-/// ticket. Counters are read from a clean registry afterwards.
-LoadStats RunLoad(const core::NlidbPipeline& pipeline,
-                  const std::vector<ClientPlan>& plan, int workers,
-                  bool batching) {
-  metrics::MetricsRegistry::Global().ResetAll();
+/// Serves `queries` requests through a fresh `workers`-worker engine
+/// from 2 x workers closed-loop clients cycling through `corpus`.
+LoadStats RunClosedLoop(const core::NlidbPipeline& pipeline,
+                        const data::Dataset& corpus, int workers,
+                        int queries) {
   serving::ServingOptions options;
   options.num_workers = workers;
-  options.cross_request_batching = batching;
-  options.queue_capacity = 512;
-  options.max_batch = 8;
   serving::ServingEngine engine(pipeline, options);
 
-  const int kSubmitters = 8;
-  std::vector<std::vector<serving::ServedResult>> results(kSubmitters);
+  const int num_clients = 2 * workers;
+  std::atomic<int> next{0};
+  std::vector<std::vector<uint64_t>> e2e(num_clients);
   // nlidb-lint: disable(raw-thread)
   std::vector<std::thread> clients;
-  clients.reserve(kSubmitters);
+  clients.reserve(num_clients);
   const uint64_t start = NowNs();
-  for (int s = 0; s < kSubmitters; ++s) {
-    clients.emplace_back([&, s] {
-      std::vector<std::shared_ptr<serving::ServingEngine::Ticket>> tickets;
-      for (size_t i = static_cast<size_t>(s); i < plan.size();
-           i += kSubmitters) {
-        const ClientPlan& c = plan[i];
-        const uint64_t at = start + c.arrival_offset_ns;
-        const uint64_t now = NowNs();
-        if (at > now) {
-          std::this_thread::sleep_for(std::chrono::nanoseconds(at - now));
-        }
-        core::QueryRequest request;
-        request.schema_ref = core::SchemaRef::Table(c.example->table.get());
-        request.tokens = c.example->tokens;
-        request.collect_timings = false;
-        if (c.deadline_ns != 0) {
-          request.deadline = Deadline::AfterNanos(c.deadline_ns);
-        }
-        tickets.push_back(engine.Submit(std::move(request)));
-      }
-      for (auto& ticket : tickets) {
-        results[s].push_back(ticket->Take());
+  for (int c = 0; c < num_clients; ++c) {
+    clients.emplace_back([&, c] {
+      for (int i = next.fetch_add(1); i < queries; i = next.fetch_add(1)) {
+        const data::Example& ex = corpus.examples[i % corpus.examples.size()];
+        serving::ServedResult served = engine.Query(RequestFor(ex));
+        if (served.status.ok()) e2e[c].push_back(served.e2e_ns);
       }
     });
   }
   for (auto& client : clients) client.join();
-  const uint64_t wall_ns = NowNs() - start;
-
-  LoadStats stats;
-  stats.occupancy = engine.decoder().OccupancyCounts();
+  const double wall_s = static_cast<double>(NowNs() - start) / 1e9;
   engine.Shutdown();
 
-  std::vector<uint64_t> e2e;
-  for (const auto& shard : results) {
-    for (const serving::ServedResult& served : shard) {
-      if (!served.status.ok()) continue;
-      ++stats.ok;
-      e2e.push_back(served.e2e_ns);
-    }
-  }
-  stats.wall_s = static_cast<double>(wall_ns) / 1e9;
-  stats.qps = stats.wall_s > 0
-                  ? static_cast<double>(stats.ok) / stats.wall_s
-                  : 0.0;
-  stats.p50_ns = PercentileNs(e2e, 0.5);
-  stats.p99_ns = PercentileNs(e2e, 0.99);
-  stats.p999_ns = PercentileNs(e2e, 0.999);
-
-  auto& reg = metrics::MetricsRegistry::Global();
-  stats.admitted = reg.GetCounter("serving.admitted").Value();
-  stats.shed = reg.GetCounter("serving.shed").Value();
-  stats.rejected = reg.GetCounter("serving.rejected_queue_full").Value() +
-                   reg.GetCounter("serving.rejected_shutdown").Value();
-  stats.deadline_misses = reg.GetCounter("serving.deadline_misses").Value();
-  stats.batch_ticks = reg.GetCounter("serving.batch.ticks").Value();
-  stats.batch_rows = reg.GetCounter("serving.batch.rows").Value();
+  std::vector<uint64_t> all;
+  for (const auto& shard : e2e) all.insert(all.end(), shard.begin(), shard.end());
+  LoadStats stats;
+  stats.ok = static_cast<long long>(all.size());
+  stats.qps = wall_s > 0 ? static_cast<double>(stats.ok) / wall_s : 0.0;
+  stats.p50_ns = PercentileNs(all, 0.5);
+  stats.p99_ns = PercentileNs(all, 0.99);
   return stats;
 }
 
-/// Mean service time of a sequential pipeline.Query over `limit`
-/// corpus examples; calibrates the offered load (and warms caches).
-uint64_t CalibrateServiceNs(const core::NlidbPipeline& pipeline,
-                            const data::Dataset& corpus, int limit) {
-  uint64_t total = 0;
-  int n = 0;
-  for (const data::Example& ex : corpus.examples) {
-    core::QueryRequest request;
-    request.schema_ref = core::SchemaRef::Table(ex.table.get());
-    request.tokens = ex.tokens;
-    request.collect_timings = false;
-    const uint64_t t0 = NowNs();
-    StatusOr<core::QueryResult> result = pipeline.Query(request);
-    (void)result;
-    total += NowNs() - t0;
-    if (++n >= limit) break;
-  }
-  return n > 0 ? total / static_cast<uint64_t>(n) : 0;
-}
-
-/// Smoke gate: submit every smoke query through the engine N times
-/// concurrently (so ticks really batch) and require each ServedResult
-/// to match the sequential pipeline answer bit for bit: same s^a
-/// tokens, same translate_score float bits, same statuses.
+/// Smoke gate: submit every smoke query through the engine several
+/// times concurrently and require each ServedResult to match the
+/// sequential pipeline answer bit for bit: same s^a tokens, same
+/// translate_score float bits, same statuses.
 bool SmokeEquivalence(const core::NlidbPipeline& pipeline,
                       const data::Dataset& corpus, int limit) {
   struct Expected {
@@ -230,17 +144,12 @@ bool SmokeEquivalence(const core::NlidbPipeline& pipeline,
   std::vector<Expected> expected;
   int n = 0;
   for (const data::Example& ex : corpus.examples) {
-    core::QueryRequest request;
-    request.schema_ref = core::SchemaRef::Table(ex.table.get());
-    request.tokens = ex.tokens;
-    expected.push_back({&ex, pipeline.Query(request)});
+    expected.push_back({&ex, pipeline.Query(RequestFor(ex))});
     if (++n >= limit) break;
   }
 
   serving::ServingOptions options;
   options.num_workers = 4;
-  options.cross_request_batching = true;
-  options.max_batch = 8;
   serving::ServingEngine engine(pipeline, options);
 
   const int kRounds = 4;
@@ -248,10 +157,7 @@ bool SmokeEquivalence(const core::NlidbPipeline& pipeline,
   std::vector<size_t> which;
   for (int round = 0; round < kRounds; ++round) {
     for (size_t i = 0; i < expected.size(); ++i) {
-      core::QueryRequest request;
-      request.schema_ref = core::SchemaRef::Table(expected[i].example->table.get());
-      request.tokens = expected[i].example->tokens;
-      tickets.push_back(engine.Submit(std::move(request)));
+      tickets.push_back(engine.Submit(RequestFor(*expected[i].example)));
       which.push_back(i);
     }
   }
@@ -289,150 +195,92 @@ bool SmokeEquivalence(const core::NlidbPipeline& pipeline,
   return true;
 }
 
-int Run(bool smoke) {
-  PrintHeader("Multi-tenant serving: cross-request batching under load");
-
+int RunSmoke() {
   BenchEnv env;
-  // Tiny in full mode too, with 24-dim embeddings and greedy decode:
-  // this bench stresses the scheduler and the cross-request batcher at
-  // the high-QPS serving point (beam 1 is also where batching matters
-  // most — sequential ticks degenerate to single-row GEMMs), so
-  // per-query model cost is kept small enough that throughput reflects
-  // harness behavior, not model FLOPs (model latency has its own
-  // benches: bench_decoder, bench_stage_breakdown). Smoke keeps the
-  // defaults so the equivalence gate covers real beam search.
-  env.provider = std::make_shared<text::EmbeddingProvider>(smoke ? 48 : 24);
+  env.provider = std::make_shared<text::EmbeddingProvider>(48);
   data::RegisterDomainClusters(*env.provider);
   data::GeneratorConfig gc;
-  gc.num_tables = smoke ? 6 : EnvTables(24);
-  gc.questions_per_table = smoke ? 4 : 8;
+  gc.num_tables = 6;
+  gc.questions_per_table = 4;
   gc.seed = 1;
   env.splits = data::GenerateWikiSqlSplits(gc);
   env.config = core::ModelConfig::Tiny();
-  if (!smoke) env.config.beam_width = 1;
   env.config.word_dim = env.provider->dim();
   auto pipeline = TrainPipeline(env);
-
-  // Workers are the unit of concurrency under test; the inner compute
-  // pool stays at 1 thread so the two parallelism layers do not fight
-  // over cores (the kernel contract keeps results identical either way).
   ThreadPool::SetGlobalParallelism(1);
+  const bool ok = SmokeEquivalence(*pipeline, env.splits.test, 4);
+  ThreadPool::SetGlobalParallelism(ThreadPool::DefaultParallelism());
+  return ok ? 0 : 1;
+}
 
-  if (smoke) {
-    const bool ok = SmokeEquivalence(*pipeline, env.splits.test, 4);
-    ThreadPool::SetGlobalParallelism(ThreadPool::DefaultParallelism());
-    return ok ? 0 : 1;
-  }
+int Run() {
+  // The perfbench corpus shape (36 tables, Small model): per-query cost
+  // is model-bound, so the sweep measures how the engine spreads real
+  // decode work over cores rather than harness overhead.
+  BenchEnv env;
+  env.provider = std::make_shared<text::EmbeddingProvider>();
+  data::RegisterDomainClusters(*env.provider);
+  data::GeneratorConfig gc;
+  gc.num_tables = EnvTables(36);
+  gc.questions_per_table = 8;
+  gc.seed = 1;
+  env.splits = data::GenerateWikiSqlSplits(gc);
 
-  const uint64_t service_ns =
-      CalibrateServiceNs(*pipeline, env.splits.test, 32);
-  std::printf("[calibrate] sequential service time %.3f ms/query\n",
-              static_cast<double>(service_ns) / 1e6);
+  const int queries = 1200;
+  const int nproc = static_cast<int>(sysconf(_SC_NPROCESSORS_ONLN));
+  const std::string commit = CommitId();
+  std::printf("[machine] nproc %d, commit %s\n", nproc, commit.c_str());
 
-  // Deadline tiers scale with the calibrated service time: the tight
-  // tier is infeasible by construction (it exercises admission
-  // shedding), the generous tier absorbs queueing plus the latency
-  // stretch of deep worker interleaving and only sheds when the queue
-  // truly backs up.
-  const int clients = 1600;
-  const uint64_t generous_ns = 400 * service_ns;
-  const uint64_t tight_ns = service_ns / 4;
-  const int hw = ThreadPool::DefaultParallelism();
-  FlatJson json = FlatJson::Load(ServingJsonPath());
-  json.Set("serving_clients", clients);
-  json.Set("serving_mean_service_ns", static_cast<double>(service_ns));
-  json.Set("serving_hw_parallelism", hw);
+  FlatJson json;
+  json.SetString("commit", commit);
+  json.Set("nproc", nproc);
+  json.Set("serving_queries", queries);
+  json.Set("serving_test_examples",
+           static_cast<int>(env.splits.test.examples.size()));
 
-  double qps_w8_batch = 0.0;
-  for (const int workers : {1, 8}) {
-    // The sequential calibration misses scheduler overhead (submitters,
-    // condvar churn, worker interleaving), so a short deadline-free
-    // pilot measures what the full serving stack actually sustains at
-    // this worker count; the measured run then offers ~1.1x that —
-    // enough overload that the queue backs up and the deadline
-    // machinery earns its keep, not so much that sheds dominate.
-    const double capacity =
-        service_ns > 0
-            ? std::min(workers, hw) * 1e9 / static_cast<double>(service_ns)
-            : 1000.0;
-    const std::vector<ClientPlan> pilot_plan =
-        MakePlan(env.splits.test, 300, capacity, 0, 0, /*seed=*/3);
-    const LoadStats pilot =
-        RunLoad(*pipeline, pilot_plan, workers, /*batching=*/true);
-    const double sustained = std::max(pilot.qps, 50.0);
-    const double offered_qps = 1.15 * sustained;
-    std::printf("[pilot] w%d sustains %.0f qps; offering %.0f qps\n",
-                workers, sustained, offered_qps);
-    json.Set(std::string("serving_pilot_qps_w") + std::to_string(workers),
-             sustained);
-    json.Set(std::string("serving_offered_qps_w") + std::to_string(workers),
-             offered_qps);
-    for (const bool batching : {false, true}) {
-      const std::vector<ClientPlan> plan =
-          MakePlan(env.splits.test, clients, offered_qps, generous_ns,
-                   tight_ns, /*seed=*/7);
-      LoadStats stats = RunLoad(*pipeline, plan, workers, batching);
-      const double shed_rate =
-          stats.admitted > 0
-              ? static_cast<double>(stats.shed) / stats.admitted
-              : 0.0;
-      const std::string sfx = std::string("w") + std::to_string(workers) +
-                              (batching ? "_batch" : "_seq");
+  for (const int beam : {1, 5}) {
+    // beam_width only affects inference, and training is seeded, so the
+    // two pipelines carry identical weights.
+    env.config = core::ModelConfig::Small();
+    env.config.word_dim = env.provider->dim();
+    env.config.beam_width = beam;
+    auto pipeline = TrainPipeline(env);
+    // Workers are the unit of concurrency under test; the inner compute
+    // pool stays at 1 thread so the two parallelism layers do not fight
+    // over cores (the kernel contract keeps results identical either
+    // way).
+    ThreadPool::SetGlobalParallelism(1);
+    // Warm caches (embeddings, column stats) outside the timed runs.
+    RunClosedLoop(*pipeline, env.splits.test, 1,
+                  static_cast<int>(env.splits.test.examples.size()));
+
+    double qps_w1 = 0.0;
+    for (const int workers : {1, 2, 4, 8}) {
+      const LoadStats stats =
+          RunClosedLoop(*pipeline, env.splits.test, workers, queries);
+      if (workers == 1) qps_w1 = stats.qps;
+      const double scaling = qps_w1 > 0 ? stats.qps / qps_w1 : 0.0;
+      const std::string sfx =
+          "beam" + std::to_string(beam) + "_w" + std::to_string(workers);
       std::printf(
-          "%-9s  %7.0f qps  ok %4lld/%d  p50 %7.2f ms  p99 %7.2f ms  "
-          "p999 %7.2f ms  shed %4.1f%%  rejected %lld\n",
-          sfx.c_str(), stats.qps, stats.ok, clients,
-          stats.p50_ns / 1e6, stats.p99_ns / 1e6, stats.p999_ns / 1e6,
-          100.0 * shed_rate, stats.rejected);
+          "beam %d  w%d  %7.0f qps  ok %4lld/%d  p50 %7.2f ms  "
+          "p99 %7.2f ms  x%.2f vs w1\n",
+          beam, workers, stats.qps, stats.ok, queries, stats.p50_ns / 1e6,
+          stats.p99_ns / 1e6, scaling);
       json.Set("serving_qps_" + sfx, stats.qps);
       json.Set("serving_ok_" + sfx, stats.ok);
       json.Set("serving_p50_ns_" + sfx, static_cast<double>(stats.p50_ns));
       json.Set("serving_p99_ns_" + sfx, static_cast<double>(stats.p99_ns));
-      json.Set("serving_p999_ns_" + sfx, static_cast<double>(stats.p999_ns));
-      json.Set("serving_shed_rate_" + sfx, shed_rate);
-      json.Set("serving_rejected_" + sfx, stats.rejected);
-      json.Set("serving_deadline_misses_" + sfx, stats.deadline_misses);
-      if (batching) {
-        if (workers == 8) qps_w8_batch = stats.qps;
-        const double rows_per_tick =
-            stats.batch_ticks > 0 ? static_cast<double>(stats.batch_rows) /
-                                        static_cast<double>(stats.batch_ticks)
-                                  : 0.0;
-        json.Set("serving_batch_rows_per_tick_" + sfx, rows_per_tick);
-        // Occupancy histogram: how many queries shared each tick's gate
-        // GEMMs (bucket 16 = 16 or more).
-        int64_t occ_ticks = 0;
-        int64_t occ_weighted = 0;
-        std::printf("  occupancy:");
-        for (size_t b = 1; b < stats.occupancy.size(); ++b) {
-          occ_ticks += stats.occupancy[b];
-          occ_weighted += static_cast<int64_t>(b) * stats.occupancy[b];
-          if (stats.occupancy[b] > 0) {
-            std::printf(" %zu:%lld", b,
-                        static_cast<long long>(stats.occupancy[b]));
-            json.Set("serving_occ_" + std::to_string(b) + "_" + sfx,
-                     static_cast<long long>(stats.occupancy[b]));
-          }
-        }
-        const double occ_mean =
-            occ_ticks > 0 ? static_cast<double>(occ_weighted) /
-                                static_cast<double>(occ_ticks)
-                          : 0.0;
-        std::printf("  (mean %.2f queries/tick)\n", occ_mean);
-        json.Set("serving_occ_mean_" + sfx, occ_mean);
-      }
+      json.Set("serving_scaling_" + sfx, scaling);
     }
+    ThreadPool::SetGlobalParallelism(ThreadPool::DefaultParallelism());
   }
-  ThreadPool::SetGlobalParallelism(ThreadPool::DefaultParallelism());
-
-  std::printf("\nacceptance: 8-worker batched QPS %.0f (target >= 500) %s\n",
-              qps_w8_batch, qps_w8_batch >= 500.0 ? "PASS" : "FAIL");
 
   if (!json.Save(ServingJsonPath())) {
     std::printf("cannot write %s\n", ServingJsonPath());
     return 1;
   }
-  std::printf("merged %s (%zu keys)\n", ServingJsonPath(), json.size());
+  std::printf("wrote %s (%zu keys)\n", ServingJsonPath(), json.size());
   return 0;
 }
 
@@ -445,5 +293,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
   }
-  return nlidb::bench::Run(smoke);
+  nlidb::bench::PrintHeader("Multi-tenant serving: closed-loop worker scaling");
+  return smoke ? nlidb::bench::RunSmoke() : nlidb::bench::Run();
 }

@@ -133,10 +133,8 @@ class Seq2SeqTranslator : public TranslatorInterface {
   const ModelConfig& config() const { return config_; }
 
  private:
-  /// The resumable fast-path decode state (core/seq2seq_fast.h) reads the
-  /// model parameters and config directly; it is the implementation of
-  /// FastBeamSearch, factored out so the serving batcher can interleave
-  /// decode steps of concurrent queries.
+  /// FastBeamSearch's per-query state (private to core/seq2seq_fast.cc)
+  /// reads the model parameters and config directly.
   friend class FastDecodeState;
 
   struct EncoderOutput {

@@ -1,4 +1,4 @@
-/// Graph-free decoder inference fast path (DESIGN.md §12/§13).
+/// Graph-free decoder inference fast path (DESIGN.md §12).
 ///
 /// `FastDecodeState` re-implements `Seq2SeqTranslator::BeamSearch` without
 /// the autodiff tape: every intermediate lives in a Workspace arena, every
@@ -7,12 +7,6 @@
 /// GEMMs. The per-query encoder state (encoder states, projected attention
 /// keys, copy-scatter slot table, gathered output columns for the grammar
 /// mask) is computed once and reused every step.
-///
-/// The state is resumable at the gate-GEMM boundary (see seq2seq_fast.h):
-/// `Seq2SeqTranslator::FastBeamSearch` is the single-query driver, and
-/// serving/batched_decoder.cc drives many states through shared ComputeGates
-/// calls. Both produce the same bits because every computation outside
-/// ComputeGates is per-query and ComputeGates is row-local bitwise.
 ///
 /// The contract is bitwise equivalence with the reference implementation:
 /// kFastUnmasked reproduces kReference and kFast reproduces
@@ -24,18 +18,20 @@
 /// (c) this file compiles with -ffp-contract=off like the kernel TUs, so
 /// the compiler cannot fuse the replicated expressions into FMAs the
 /// reference path never executed (src/core/CMakeLists.txt pins the flag).
-#include "core/seq2seq_fast.h"
-
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/deadline.h"
 #include "common/failpoint.h"
 #include "common/metrics.h"
+#include "common/status.h"
 #include "common/trace.h"
 #include "common/workspace.h"
+#include "core/decode_grammar.h"
 #include "core/seq2seq.h"
 #include "tensor/tensor.h"
 
@@ -107,6 +103,158 @@ void RunGruDirection(const nn::GruCell& cell, const float* xs, int n, int H,
 
 }  // namespace
 
+/// One query's fast-path beam search, driven by a single thread:
+///
+///   FastDecodeState state(translator, source, beam_width, mask, ws);
+///   NLIDB_RETURN_IF_ERROR(state.Admit());
+///   state.BuildEncoderCache();
+///   while (!state.done()) NLIDB_RETURN_IF_ERROR(state.Step(ctx));
+///   auto result = state.TakeResult();
+///
+/// Declared (not defined) in seq2seq.h only so Seq2SeqTranslator can
+/// befriend it: it reads the model parameters and config directly. All
+/// float buffers live in the `ws` arena passed at construction, which
+/// must outlive the state.
+class FastDecodeState {
+ public:
+  /// A finished search: winning tokens + length-normalized log-prob.
+  struct Result {
+    std::vector<std::string> tokens;
+    float score = 0.0f;
+  };
+
+  /// `source` and `ws` must outlive the state; `source` is the q^a token
+  /// sequence fed to the decoder. `use_grammar_mask` requests the
+  /// grammar-constrained mode (downgraded internally when the vocabulary
+  /// cannot support it).
+  FastDecodeState(const Seq2SeqTranslator& translator,
+                  const std::vector<std::string>& source, int beam_width,
+                  bool use_grammar_mask, Workspace& ws);
+  FastDecodeState(const FastDecodeState&) = delete;
+  FastDecodeState& operator=(const FastDecodeState&) = delete;
+
+  /// Entry validation, called once before anything else: empty-source
+  /// check plus the injectable `seq2seq/beam_exhausted` failpoint
+  /// (beam_width > 1 only).
+  Status Admit();
+
+  /// Runs the encoder and builds the per-query cache (embedding gathers,
+  /// biGRU states, projected attention keys, init state, grammar tables)
+  /// plus the per-step scratch buffers. Emits the "seq2seq.encode" trace
+  /// span. Call once, after a successful Admit().
+  void BuildEncoderCache();
+
+  /// Runs one decode step: deadline/cancel poll, live-frontier scan,
+  /// output-safe early termination, then (unless that ended the search)
+  /// the GRU step, attention, output scores, candidate expansion and
+  /// beam pruning. A non-Ok status (deadline) abandons the search.
+  Status Step(const CancelContext* ctx);
+
+  /// True once the search has terminated (all beams finished, early
+  /// termination, exhaustion, or the step limit).
+  bool done() const { return done_; }
+
+  /// Final hypothesis selection (length-normalized), or the
+  /// beam-exhaustion error. Call once, after done() turns true.
+  StatusOr<Result> TakeResult();
+
+ private:
+  struct FastBeam {
+    int prev_token = 0;
+    int grammar_state = DecodeGrammar::kStart;
+    int slot = 0;  // row in d_prev/beta_prev
+    std::vector<std::string> tokens;
+    float log_prob = 0.0f;
+    bool finished = false;
+  };
+  struct Candidate {
+    int parent_slot = 0;
+    FastBeam beam;
+  };
+
+  /// Step, part 1: poll, live frontier, early termination, step
+  /// counters. Either sets done_ or leaves frontier_rows_ rows to run.
+  Status BeginStep(const CancelContext* ctx);
+  /// Step, part 2: writes the frontier's [emb(prev_token); beta_prev]
+  /// rows into x_ and its previous decoder states into d_gather_.
+  void StageFrontier();
+  /// Step, part 3: the two batched GRU-gate GEMMs over the frontier,
+  /// gi_ = x_ · W_ih + b_ih and gh_ = d_gather_ · W_hh + b_hh.
+  void ComputeGates();
+  /// Step, part 4: GRU elementwise, attention, output scores, candidate
+  /// expansion and beam pruning.
+  void FinishStep();
+
+  const Seq2SeqTranslator& t_;
+  const std::vector<std::string>& source_;
+  const int beam_width_;
+  Workspace& ws_;
+
+  // Dimensions (fixed by the model config).
+  const int d_;     // word_dim
+  const int h_;     // seq2seq_hidden
+  const int att_;   // attention width (= h_)
+  const int h2_;    // decoder hidden H = 2h
+  const int h4_;    // [d_i ; beta_i] width
+  const int xin_;   // decoder GRU input width d + 2h
+  const int vocab_size_;
+  const int n_;     // source length
+
+  // The grammar is built per query (vocabulary classification is O(V) on
+  // token strings); an unusable grammar downgrades to unmasked decoding.
+  DecodeGrammar grammar_;
+  const bool masked_;
+  int score_width_ = 0;
+  int gemm_width_ = 0;
+
+  // Per-query cached encoder state: everything a decode step would
+  // recompute from the encoder outputs, plus the grammar-mask tables.
+  struct EncoderCache {
+    std::vector<int> source_ids;  // vocab ids of the source tokens
+    float* enc_states = nullptr;  // [n, 2h] bidirectional states
+    float* mem_proj = nullptr;    // [n, att] projected attention keys
+    float* d0 = nullptr;          // [2h] initial decoder state
+
+    // Grammar-mask extras (empty when masking is off).
+    std::vector<int> domain;         // sorted vocab ids the mask can emit
+    std::vector<int> slot_of_src;    // domain slot per source position
+    std::vector<uint8_t> in_source;  // by vocab id
+    float* u_sub = nullptr;          // [4h, |domain|] gathered out columns
+    float* bias_sub = nullptr;       // [|domain|] gathered output bias
+  };
+  EncoderCache cache_;
+
+  // Beam-state ping-pong buffers and per-step scratch, allocated once in
+  // BuildEncoderCache (all from ws_, zero-initialized by the arena).
+  float* d_prev_ = nullptr;
+  float* beta_prev_ = nullptr;
+  float* d_swap_ = nullptr;
+  float* beta_swap_ = nullptr;
+  float* d_next_ = nullptr;
+  float* query_ = nullptr;
+  float* tanh_keys_ = nullptr;
+  float* energies_ = nullptr;
+  float* weights_all_ = nullptr;
+  float* beta_next_ = nullptr;
+  float* cat_ = nullptr;
+  float* logits_ = nullptr;
+  float* mass_ = nullptr;
+  float* scores_ = nullptr;
+  // Frontier staging for the gate GEMMs: [W, xin] inputs, [W, 3H] gate
+  // products, [W, H] gathered previous states.
+  float* x_ = nullptr;
+  float* gi_ = nullptr;
+  float* gh_ = nullptr;
+  float* d_gather_ = nullptr;
+
+  std::vector<FastBeam> beams_;
+  std::vector<FastBeam> finished_;
+  std::vector<int> live_;
+  int frontier_rows_ = 0;
+  int step_ = 0;
+  bool done_ = false;
+};
+
 FastDecodeState::FastDecodeState(const Seq2SeqTranslator& translator,
                                  const std::vector<std::string>& source,
                                  int beam_width, bool use_grammar_mask,
@@ -128,11 +276,6 @@ FastDecodeState::FastDecodeState(const Seq2SeqTranslator& translator,
       // decoding.
       grammar_(translator.vocab_),
       masked_(use_grammar_mask && grammar_.usable()) {}
-
-bool FastDecodeState::WantsMask(const Seq2SeqTranslator& translator,
-                                DecodeMode mode) {
-  return mode == DecodeMode::kFast && translator.GrammarMaskEligible();
-}
 
 Status FastDecodeState::Admit() {
   if (source_.empty()) {
@@ -267,9 +410,6 @@ void FastDecodeState::BuildEncoderCache() {
   gemm_width_ = masked_ ? score_width_ : kVocabBudget;
 
   // Beam-state ping-pong buffers and per-step scratch, allocated once.
-  // The frontier's GRU staging buffers (x/gi/gh/d_gather) are the
-  // driver's: a batching driver sizes them for the sum of its queries'
-  // frontiers, the single-query driver for W rows.
   d_prev_ = ws.Floats(static_cast<size_t>(W) * h2);
   beta_prev_ = ws.Floats(static_cast<size_t>(W) * h2);
   d_swap_ = ws.Floats(static_cast<size_t>(W) * h2);
@@ -284,6 +424,11 @@ void FastDecodeState::BuildEncoderCache() {
   logits_ = ws.Floats(static_cast<size_t>(W) * gemm_width_);
   mass_ = ws.Floats(score_width_);
   scores_ = ws.Floats(static_cast<size_t>(W) * score_width_);
+  // Frontier staging: one query, so at most W rows per step.
+  x_ = ws.Floats(static_cast<size_t>(W) * xin_);
+  gi_ = ws.Floats(static_cast<size_t>(W) * 3 * h2);
+  gh_ = ws.Floats(static_cast<size_t>(W) * 3 * h2);
+  d_gather_ = ws.Floats(static_cast<size_t>(W) * h2);
 
   FastBeam init;
   init.prev_token = text::Vocab::kBos;
@@ -356,7 +501,16 @@ Status FastDecodeState::BeginStep(const CancelContext* ctx) {
   return Status::Ok();
 }
 
-void FastDecodeState::StageFrontier(float* x, float* d_gather) const {
+Status FastDecodeState::Step(const CancelContext* ctx) {
+  NLIDB_RETURN_IF_ERROR(BeginStep(ctx));
+  if (done_) return Status::Ok();
+  StageFrontier();
+  ComputeGates();
+  FinishStep();
+  return Status::Ok();
+}
+
+void FastDecodeState::StageFrontier() {
   const int d = d_;
   const int h2 = h2_;
   const int xin = xin_;
@@ -364,41 +518,36 @@ void FastDecodeState::StageFrontier(float* x, float* d_gather) const {
   // Stage [emb(prev) ; beta_prev] and gather d_prev for the frontier.
   for (int r = 0; r < frontier_rows_; ++r) {
     const FastBeam& beam = beams_[live_[r]];
-    std::memcpy(x + static_cast<size_t>(r) * xin,
+    std::memcpy(x_ + static_cast<size_t>(r) * xin,
                 emb_table.data() + static_cast<size_t>(beam.prev_token) * d,
                 sizeof(float) * d);
-    std::memcpy(x + static_cast<size_t>(r) * xin + d,
+    std::memcpy(x_ + static_cast<size_t>(r) * xin + d,
                 beta_prev_ + static_cast<size_t>(beam.slot) * h2,
                 sizeof(float) * h2);
-    std::memcpy(d_gather + static_cast<size_t>(r) * h2,
+    std::memcpy(d_gather_ + static_cast<size_t>(r) * h2,
                 d_prev_ + static_cast<size_t>(beam.slot) * h2,
                 sizeof(float) * h2);
   }
 }
 
-void FastDecodeState::ComputeGates(const Seq2SeqTranslator& translator,
-                                   const float* x, const float* d_gather,
-                                   int rows, float* gi, float* gh) {
-  const int h2 = 2 * translator.config_.seq2seq_hidden;
-  const int xin = translator.config_.word_dim + h2;
-  const float* dec_w_ih = translator.decoder_cell_->w_ih()->value.data();
-  const float* dec_w_hh = translator.decoder_cell_->w_hh()->value.data();
-  const float* dec_b_ih = translator.decoder_cell_->b_ih()->value.data();
-  const float* dec_b_hh = translator.decoder_cell_->b_hh()->value.data();
-  // Batched GRU gates for the whole frontier: two [rows, 3H] GEMMs. The
-  // kernels' per-output accumulation order is independent of `rows`
-  // (tensor/tensor.h contract) and the bias add is row-local, so any
-  // concatenation of query frontiers produces each row's bits unchanged.
-  std::fill_n(gi, static_cast<size_t>(rows) * 3 * h2, 0.0f);
-  GemmAccumulateRaw(x, dec_w_ih, gi, rows, xin, 3 * h2);
-  AddBiasRows(gi, dec_b_ih, rows, 3 * h2);
-  std::fill_n(gh, static_cast<size_t>(rows) * 3 * h2, 0.0f);
-  GemmAccumulateRaw(d_gather, dec_w_hh, gh, rows, h2, 3 * h2);
-  AddBiasRows(gh, dec_b_hh, rows, 3 * h2);
+void FastDecodeState::ComputeGates() {
+  const int h2 = h2_;
+  const int xin = xin_;
+  const int rows = frontier_rows_;
+  const float* dec_w_ih = t_.decoder_cell_->w_ih()->value.data();
+  const float* dec_w_hh = t_.decoder_cell_->w_hh()->value.data();
+  const float* dec_b_ih = t_.decoder_cell_->b_ih()->value.data();
+  const float* dec_b_hh = t_.decoder_cell_->b_hh()->value.data();
+  // Batched GRU gates for the whole frontier: two [rows, 3H] GEMMs.
+  std::fill_n(gi_, static_cast<size_t>(rows) * 3 * h2, 0.0f);
+  GemmAccumulateRaw(x_, dec_w_ih, gi_, rows, xin, 3 * h2);
+  AddBiasRows(gi_, dec_b_ih, rows, 3 * h2);
+  std::fill_n(gh_, static_cast<size_t>(rows) * 3 * h2, 0.0f);
+  GemmAccumulateRaw(d_gather_, dec_w_hh, gh_, rows, h2, 3 * h2);
+  AddBiasRows(gh_, dec_b_hh, rows, 3 * h2);
 }
 
-void FastDecodeState::FinishStep(const float* gi, const float* gh,
-                                 const float* d_gather) {
+void FastDecodeState::FinishStep() {
   const int att = att_;
   const int h2 = h2_;
   const int h4 = h4_;
@@ -413,7 +562,7 @@ void FastDecodeState::FinishStep(const float* gi, const float* gh,
   const float* out_w = t_.output_proj_->weight()->value.data();
   const float* out_b = t_.output_proj_->bias()->value.data();
 
-  GruElementwise(gi, gh, d_gather, d_next_, B, h2);
+  GruElementwise(gi_, gh_, d_gather_, d_next_, B, h2);
 
   // Attention query contribution W3 d_i, batched: [B, 2h] x [2h, att].
   std::fill_n(query_, static_cast<size_t>(B) * att, 0.0f);
@@ -609,23 +758,7 @@ StatusOr<Seq2SeqTranslator::ScoredTokens> Seq2SeqTranslator::FastBeamSearch(
   state.BuildEncoderCache();
 
   trace::TraceSpan decode_span("seq2seq.decode");
-  // Frontier staging buffers for the single-query driver: one query, so
-  // at most beam_width rows per step.
-  const int W = beam_width;
-  const int xin = state.x_width();
-  const int h2 = state.h_width();
-  float* x = ws.Floats(static_cast<size_t>(W) * xin);
-  float* gi = ws.Floats(static_cast<size_t>(W) * 3 * h2);
-  float* gh = ws.Floats(static_cast<size_t>(W) * 3 * h2);
-  float* d_gather = ws.Floats(static_cast<size_t>(W) * h2);
-  while (true) {
-    NLIDB_RETURN_IF_ERROR(state.BeginStep(ctx));
-    if (state.done()) break;
-    state.StageFrontier(x, d_gather);
-    FastDecodeState::ComputeGates(*this, x, d_gather, state.frontier_rows(),
-                                  gi, gh);
-    state.FinishStep(gi, gh, d_gather);
-  }
+  while (!state.done()) NLIDB_RETURN_IF_ERROR(state.Step(ctx));
   StatusOr<FastDecodeState::Result> result = state.TakeResult();
   if (!result.ok()) return result.status();
   return ScoredTokens{std::move(result->tokens), result->score};

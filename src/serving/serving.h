@@ -8,9 +8,8 @@
 // every hop: infeasible ones are shed at submit (before consuming a
 // queue slot), expired ones are shed at dequeue (before consuming
 // compute), and in-flight ones abort at the pipeline's CancelContext
-// poll points. Worker decodes are routed through `BatchedDecoder`, so
-// concurrent queries share GRU-gate GEMMs while staying bitwise
-// identical to sequential `pipeline.Query()` calls.
+// poll points. Each worker runs `pipeline.Query()` on its own request,
+// so a served result is bitwise identical to a sequential call.
 //
 // Counter invariant (asserted by serving_fault_test):
 //   serving.submitted == serving.admitted + serving.rejected_queue_full
@@ -23,6 +22,7 @@
 // SchemaRef cannot resolve is failed at admission (admitted + completed,
 // plus serving.schema_unresolvable) without consuming a queue slot.
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -32,20 +32,18 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "core/pipeline.h"
-#include "serving/batched_decoder.h"
 
 // The worker pool deliberately bypasses common/thread_pool (lint
-// suppression on the member below): serving workers block on condition
-// variables — queue waits, batch rendezvous — which the shared compute
-// pool's run-to-completion tasks must never do, and the compute pool
-// stays reserved for the GEMM substrate beneath the workers.
+// suppression on the member below): serving workers block on the
+// admission queue's condition variable, which the shared compute pool's
+// run-to-completion tasks must never do, and the compute pool stays
+// reserved for the GEMM substrate beneath the workers.
 #include <thread>
 
 namespace nlidb {
 namespace serving {
 
-/// Engine knobs. `FromEnv()` starts from the defaults and applies the
-/// NLIDB_SERVING_* environment overrides (documented in README.md).
+/// Engine knobs.
 struct ServingOptions {
   /// Worker threads executing queries. 0 is legal (nothing executes
   /// until shutdown; admission and rejection still work) — used by
@@ -56,20 +54,10 @@ struct ServingOptions {
   /// with Unavailable rather than queued without bound.
   int queue_capacity = 256;
 
-  /// Max queries one batch-leader tick advances together.
-  int max_batch = 8;
-
-  /// Route worker decodes through the cross-request BatchedDecoder.
-  /// Off → each worker decodes sequentially (still bitwise identical;
-  /// the bench uses this to measure batching's contribution).
-  bool cross_request_batching = true;
-
   /// Shed a request at admission when its remaining deadline budget is
   /// under `shed_factor` × the EWMA service time. 0 disables
   /// feasibility shedding (expired deadlines are still shed).
   double shed_factor = 0.5;
-
-  static ServingOptions FromEnv();
 };
 
 /// Everything the engine returns for one request. `status` carries
@@ -123,9 +111,6 @@ class ServingEngine {
   /// destructor calls it.
   void Shutdown();
 
-  /// The cross-request batcher (bench introspection: occupancy counts).
-  const BatchedDecoder& decoder() const { return decoder_; }
-
  private:
   struct Pending {
     core::QueryRequest request;
@@ -140,8 +125,6 @@ class ServingEngine {
 
   const core::NlidbPipeline& pipeline_;
   const ServingOptions options_;
-  // Internally synchronized (its own mu_/cv_ rendezvous).
-  BatchedDecoder decoder_;  // nlidb-lint: disable(mutex-coverage)
 
   Mutex mu_{"serving.queue"};
   CondVar cv_;
