@@ -9,7 +9,8 @@
 //   - per-step decode cost and steps/sec at beam widths 1 and 4, from
 //     the seq2seq.decode_steps counter delta around timed decodes;
 //   - GEMM dispatch tier counters (gemm.dispatch.{base,avx2}) so a
-//     regression in kernel selection is visible next to the latency.
+//     regression in kernel selection is visible next to the latency;
+//   - the commit, nproc and ISA tier of the run (StampMachine).
 //
 //   ./build/bench/bench_decoder [--smoke]
 //
@@ -113,6 +114,7 @@ int Run(bool smoke) {
 
   const int limit = smoke ? 4 : 64;
   FlatJson json = FlatJson::Load(DecoderJsonPath());
+  StampMachine(json);
 
   // --- end-to-end translate-stage latency, reference vs fast ---------
   // Same corpus sweep as bench_stage_breakdown, so the reference

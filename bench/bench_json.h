@@ -8,12 +8,16 @@
 // strings; no nesting — consumers are dashboards/diff scripts, not a
 // general JSON reader.
 
+#include <unistd.h>
+
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <sstream>
 #include <string>
+
+#include "tensor/gemm_kernels.h"
 
 namespace nlidb {
 namespace bench {
@@ -118,6 +122,37 @@ class FlatJson {
 
   std::map<std::string, std::string> entries_;
 };
+
+/// `git describe` of the working directory ("unknown" outside a git
+/// checkout); "-dirty" marks uncommitted changes in tracked files.
+inline std::string CommitId() {
+  std::FILE* pipe =
+      popen("git describe --always --dirty --abbrev=12 2>/dev/null", "r");
+  if (pipe == nullptr) return "unknown";
+  char buf[128] = {0};
+  std::string out;
+  if (std::fgets(buf, sizeof(buf), pipe) != nullptr) out = buf;
+  const int rc = pclose(pipe);
+  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) {
+    out.pop_back();
+  }
+  return rc == 0 && !out.empty() ? out : "unknown";
+}
+
+/// Stamps which code and machine a record describes: `commit`
+/// (CommitId), `nproc` (online cores) and `isa_tier` (the kernel tier
+/// the GEMMs and tanh run on: "avx2" or "base"). Also prints them.
+inline void StampMachine(FlatJson& json) {
+  const std::string commit = CommitId();
+  const int nproc = static_cast<int>(sysconf(_SC_NPROCESSORS_ONLN));
+  const char* tier =
+      gemm::ActiveTier() == gemm::Tier::kAvx2 ? "avx2" : "base";
+  std::printf("[machine] commit %s, nproc %d, isa tier %s\n", commit.c_str(),
+              nproc, tier);
+  json.SetString("commit", commit);
+  json.Set("nproc", nproc);
+  json.SetString("isa_tier", tier);
+}
 
 /// Shared output path; benches run from the build tree, the driver picks
 /// the file up from the working directory.

@@ -5,12 +5,17 @@
 //
 // Before the google-benchmark suite runs, main() times the tiled GEMM
 // kernels against the seed-equivalent reference loops (gemm_reference.cc,
-// compiled with the seed's flags) and appends the results to
-// BENCH_substrate.json (override the path with NLIDB_BENCH_JSON).
+// compiled with the seed's flags) and the kernel-tier tanh against libm's
+// tanhf, and appends the results to BENCH_substrate.json (override the
+// path with NLIDB_BENCH_JSON) together with the commit, nproc and ISA tier.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <string>
+#include <vector>
 
 #include "bench/bench_json.h"
 #include "common/thread_pool.h"
@@ -20,6 +25,7 @@
 #include "sql/executor.h"
 #include "sql/parser.h"
 #include "sql/statistics.h"
+#include "tensor/gemm_kernels.h"
 #include "tensor/ops.h"
 #include "text/dependency.h"
 #include "text/tokenizer.h"
@@ -240,6 +246,62 @@ void RunSubstrateGemmReport(bench::FlatJson& json) {
   }
 }
 
+// --- Kernel tanh vs libm report (BENCH_substrate.json) ----------------
+
+using TanhFn = void (*)(float* x, int n);
+
+void LibmTanh(float* x, int n) {
+  for (int i = 0; i < n; ++i) x[i] = std::tanh(x[i]);
+}
+
+// ns per element of `fn` over `src`, best of 3 batches of ~80 ms. Each
+// call first restores the input (one copy, the same on every side).
+double TimeTanhNsPerElem(TanhFn fn, const std::vector<float>& src) {
+  using Clock = std::chrono::steady_clock;
+  std::vector<float> buf(src.size());
+  const int n = static_cast<int>(src.size());
+  double best = 1e30;
+  for (int batch = 0; batch < 3; ++batch) {
+    long long elems = 0;
+    const auto start = Clock::now();
+    double elapsed_ns = 0.0;
+    do {
+      std::copy(src.begin(), src.end(), buf.begin());
+      fn(buf.data(), n);
+      benchmark::DoNotOptimize(buf.data());
+      elems += n;
+      elapsed_ns = std::chrono::duration<double, std::nano>(Clock::now() -
+                                                            start)
+                       .count();
+    } while (elapsed_ns < 8e7);
+    best = std::min(best, elapsed_ns / static_cast<double>(elems));
+  }
+  return best;
+}
+
+void RunTanhReport(bench::FlatJson& json) {
+  // One decode row's attention keys at the benchmark model's shape
+  // (29 source tokens x 64), with pre-activations spread over [-4, 4].
+  Rng rng(11);
+  std::vector<float> src(29 * 64);
+  for (float& x : src) x = rng.NextFloat(-4.0f, 4.0f);
+  const struct {
+    const char* name;
+    TanhFn fn;
+  } sides[] = {{"libm", &LibmTanh},
+               {"base", &gemm::base::TanhInPlace},
+               {"avx2", &gemm::avx2::TanhInPlace}};
+  std::printf("substrate: tanh over %zu elements\n", src.size());
+  for (const auto& side : sides) {
+    if (side.fn == &gemm::avx2::TanhInPlace && !gemm::avx2::Available()) {
+      continue;
+    }
+    const double ns = TimeTanhNsPerElem(side.fn, src);
+    std::printf("  %-5s %6.2f ns/elem\n", side.name, ns);
+    json.Set(std::string("tanh_ns_per_elem_") + side.name, ns);
+  }
+}
+
 }  // namespace
 }  // namespace nlidb
 
@@ -247,8 +309,10 @@ int main(int argc, char** argv) {
   {
     nlidb::bench::FlatJson json =
         nlidb::bench::FlatJson::Load(nlidb::bench::SubstrateJsonPath());
+    nlidb::bench::StampMachine(json);
     json.Set("threads", nlidb::ThreadPool::Global().parallelism());
     nlidb::RunSubstrateGemmReport(json);
+    nlidb::RunTanhReport(json);
     json.Save(nlidb::bench::SubstrateJsonPath());
     std::printf("wrote %s (%zu keys)\n\n", nlidb::bench::SubstrateJsonPath(),
                 json.size());

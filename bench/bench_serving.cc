@@ -7,8 +7,8 @@
 // next). Reports, and writes to BENCH_serving.json:
 //   - completed QPS and e2e p50/p99 per (beam, workers) cell;
 //   - the scaling ratio QPS(w) / QPS(1) per beam width;
-//   - nproc and the git commit the binary was run from, so the record
-//     says which machine and code it describes.
+//   - the commit, nproc and ISA tier the binary ran with (StampMachine),
+//     so the record says which machine and code it describes.
 //
 //   ./build/bench/bench_serving [--smoke]
 //
@@ -20,8 +20,6 @@
 // full local run.
 
 #include "bench/bench_util.h"
-
-#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -59,22 +57,6 @@ uint64_t PercentileNs(std::vector<uint64_t> samples, double q) {
   size_t idx = static_cast<size_t>(q * static_cast<double>(samples.size()));
   if (idx >= samples.size()) idx = samples.size() - 1;
   return samples[idx];
-}
-
-/// `git describe` of the working directory ("unknown" outside a git
-/// checkout); "-dirty" marks uncommitted changes in tracked files.
-std::string CommitId() {
-  std::FILE* pipe =
-      popen("git describe --always --dirty --abbrev=12 2>/dev/null", "r");
-  if (pipe == nullptr) return "unknown";
-  char buf[128] = {0};
-  std::string out;
-  if (std::fgets(buf, sizeof(buf), pipe) != nullptr) out = buf;
-  const int rc = pclose(pipe);
-  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) {
-    out.pop_back();
-  }
-  return rc == 0 && !out.empty() ? out : "unknown";
 }
 
 core::QueryRequest RequestFor(const data::Example& ex) {
@@ -227,13 +209,8 @@ int Run() {
   env.splits = data::GenerateWikiSqlSplits(gc);
 
   const int queries = 1200;
-  const int nproc = static_cast<int>(sysconf(_SC_NPROCESSORS_ONLN));
-  const std::string commit = CommitId();
-  std::printf("[machine] nproc %d, commit %s\n", nproc, commit.c_str());
-
   FlatJson json;
-  json.SetString("commit", commit);
-  json.Set("nproc", nproc);
+  StampMachine(json);
   json.Set("serving_queries", queries);
   json.Set("serving_test_examples",
            static_cast<int>(env.splits.test.examples.size()));

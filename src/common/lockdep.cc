@@ -113,7 +113,42 @@ struct HeldLock {
   metrics::Histogram* held_hist = nullptr;
 };
 
-thread_local std::vector<HeldLock> tls_held;
+/// The calling thread's held-lock stack. Fixed capacity with a trivial
+/// destructor on purpose: static destructors (the global ThreadPool's,
+/// for one) still lock instrumented mutexes after the main thread's
+/// thread_locals with non-trivial destructors are gone, so a heap-backed
+/// stack would be used after free at exit. Acquisitions past the
+/// capacity are counted (`lockdep.held_overflow`) and left untracked,
+/// exactly like locks taken while the detector is off.
+struct HeldStack {
+  static constexpr int kCapacity = 32;
+  HeldLock locks[kCapacity];
+  int size = 0;
+
+  bool empty() const { return size == 0; }
+  const HeldLock* begin() const { return locks; }
+  const HeldLock* end() const { return locks + size; }
+  void clear() { size = 0; }
+  /// False (and nothing recorded) when full.
+  bool push(const HeldLock& held) {
+    if (size == kCapacity) return false;
+    locks[size++] = held;
+    return true;
+  }
+  /// Drops the most recent entry for `mu`, if any; returns it via `out`.
+  bool pop(const Mutex* mu, HeldLock* out) {
+    for (int i = size - 1; i >= 0; --i) {
+      if (locks[i].mu != mu) continue;
+      *out = locks[i];
+      std::copy(locks + i + 1, locks + size, locks + i);
+      --size;
+      return true;
+    }
+    return false;
+  }
+};
+
+thread_local HeldStack tls_held;
 
 /// Re-entrancy guard: locks taken *by the hooks themselves* (metrics
 /// registry, allocator-internal paths) degrade to the plain operation
@@ -180,15 +215,22 @@ struct GlobalCounters {
   metrics::Counter* acquisitions;
   metrics::Counter* inversions;
   metrics::Counter* stuck_waits;
+  metrics::Counter* held_overflow;
 };
 GlobalCounters& Counters() {
   static GlobalCounters c = [] {
     metrics::MetricsRegistry& reg = metrics::MetricsRegistry::Global();
     return GlobalCounters{&reg.GetCounter("lockdep.acquisitions"),
                           &reg.GetCounter("lockdep.inversions"),
-                          &reg.GetCounter("lockdep.stuck_waits")};
+                          &reg.GetCounter("lockdep.stuck_waits"),
+                          &reg.GetCounter("lockdep.held_overflow")};
   }();
   return c;
+}
+
+/// Joins `held` to the calling thread's held set (see HeldStack).
+void PushHeld(const HeldLock& held) {
+  if (!tls_held.push(held)) Counters().held_overflow->Increment();
 }
 
 /// Two-phase class lookup. Phase 1: id lookup under the graph lock.
@@ -395,8 +437,7 @@ void LockSlow(Mutex* mu) {
     // (the overwhelmingly common case) never pay for backtrace().
     RecordEdges(cid, CaptureStack());
   }
-  tls_held.push_back(
-      HeldLock{mu, cid, trace::NowNs(), instruments.held_ns});
+  PushHeld(HeldLock{mu, cid, trace::NowNs(), instruments.held_ns});
   tls_in_hook = false;
 }
 
@@ -407,16 +448,11 @@ void UnlockSlow(Mutex* mu) {
     return;
   }
   tls_in_hook = true;
-  for (auto it = tls_held.rbegin(); it != tls_held.rend(); ++it) {
-    if (it->mu == mu) {
-      if (it->held_hist != nullptr) {
-        it->held_hist->Record(trace::NowNs() - it->acquired_ns);
-      }
-      tls_held.erase(std::next(it).base());
-      break;
-    }
-    // No entry: acquired while the detector was off (or inside a hook);
-    // nothing to unwind.
+  // No entry: acquired while the detector was off, inside a hook or past
+  // the stack's capacity; nothing to unwind.
+  HeldLock held;
+  if (tls_held.pop(mu, &held) && held.held_hist != nullptr) {
+    held.held_hist->Record(trace::NowNs() - held.acquired_ns);
   }
   raw.unlock();
   tls_in_hook = false;
@@ -437,8 +473,7 @@ void OnTryLockAcquired(Mutex* mu) {
   // deliberately not folded into the graph (they would be false
   // positives). The acquisition still joins the held set: blocking
   // locks taken while this one is held do create edges from it.
-  tls_held.push_back(
-      HeldLock{mu, cid, trace::NowNs(), instruments.held_ns});
+  PushHeld(HeldLock{mu, cid, trace::NowNs(), instruments.held_ns});
   tls_in_hook = false;
 }
 

@@ -28,40 +28,38 @@ bool RequiresSource(TC c) {
 
 }  // namespace
 
-DecodeGrammar::DecodeGrammar(const text::Vocab& vocab) {
+void DecodeGrammar::Extend(const text::Vocab& vocab) {
   const int size = vocab.size();
-  classes_.resize(static_cast<size_t>(size), TC::kLiteral);
-  for (int id = 0; id < size; ++id) {
+  for (int id = static_cast<int>(classes_.size()); id < size; ++id) {
+    TC c = TC::kLiteral;
     if (id == text::Vocab::kPad || id == text::Vocab::kBos) {
-      classes_[id] = TC::kSpecial;
-      continue;
+      c = TC::kSpecial;
+    } else if (id == text::Vocab::kUnk) {
+      c = TC::kUnk;
+    } else if (id == text::Vocab::kEos) {
+      c = TC::kEos;
+    } else {
+      const std::string& token = vocab.GetToken(id);
+      if (token == "SELECT") {
+        c = TC::kSelect;
+        usable_ = true;
+      } else if (token == "WHERE") {
+        c = TC::kWhere;
+      } else if (token == "AND") {
+        c = TC::kAnd;
+      } else if (token == "MAX" || token == "MIN" || token == "COUNT" ||
+                 token == "SUM" || token == "AVG") {
+        c = TC::kAgg;
+      } else if (token == "=" || token == ">" || token == "<") {
+        c = TC::kOp;
+      } else if (IsAnnotationSymbol(token)) {
+        c = token[0] == 'c'   ? TC::kColSym
+            : token[0] == 'v' ? TC::kValSym
+                              : TC::kHeaderSym;
+      }
     }
-    if (id == text::Vocab::kUnk) {
-      classes_[id] = TC::kUnk;
-      continue;
-    }
-    if (id == text::Vocab::kEos) {
-      classes_[id] = TC::kEos;
-      continue;
-    }
-    const std::string& token = vocab.GetToken(id);
-    if (token == "SELECT") {
-      classes_[id] = TC::kSelect;
-      usable_ = true;
-    } else if (token == "WHERE") {
-      classes_[id] = TC::kWhere;
-    } else if (token == "AND") {
-      classes_[id] = TC::kAnd;
-    } else if (token == "MAX" || token == "MIN" || token == "COUNT" ||
-               token == "SUM" || token == "AVG") {
-      classes_[id] = TC::kAgg;
-    } else if (token == "=" || token == ">" || token == "<") {
-      classes_[id] = TC::kOp;
-    } else if (IsAnnotationSymbol(token)) {
-      classes_[id] = token[0] == 'c'   ? TC::kColSym
-                     : token[0] == 'v' ? TC::kValSym
-                                       : TC::kHeaderSym;
-    }  // else: kLiteral (the resize default)
+    classes_.push_back(c);
+    if (c != TC::kSpecial && !RequiresSource(c)) structural_ids_.push_back(id);
   }
 }
 

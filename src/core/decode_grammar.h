@@ -18,14 +18,15 @@ namespace core {
 ///   col ::= c_i | g_j | single literal column token | <unk>
 ///   val ::= v_i | literal token run | <unk>
 ///
-/// This class classifies every vocabulary id once per query and exposes a
-/// deterministic automaton over decode states, so beam search can restrict
-/// the softmax/copy/top-k loop to the legal symbol set instead of the full
-/// vocabulary. Literal tokens and annotation symbols are legal only when
-/// they occur in the source sequence q^a (they are copied, never invented);
-/// structural tokens (SELECT/WHERE/AND, aggregates, operators) are legal by
-/// state alone. <unk> is legal wherever a literal may appear — it resolves
-/// through the pointer fallback to a source token.
+/// This class classifies every vocabulary id once (the translator extends
+/// it as its vocabulary grows) and exposes a deterministic automaton over
+/// decode states, so beam search can restrict the softmax/copy/top-k loop
+/// to the legal symbol set instead of the full vocabulary. Literal tokens
+/// and annotation symbols are legal only when they occur in the source
+/// sequence q^a (they are copied, never invented); structural tokens
+/// (SELECT/WHERE/AND, aggregates, operators) are legal by state alone.
+/// <unk> is legal wherever a literal may appear — it resolves through the
+/// pointer fallback to a source token.
 ///
 /// The mask is a *restriction*, not a rescoring: masked decoding normalizes
 /// scores over the legal set, so masked and unmasked search can pick
@@ -68,9 +69,17 @@ class DecodeGrammar {
     kLiteral
   };
 
+  /// An empty grammar; Extend() classifies a vocabulary into it.
+  DecodeGrammar() = default;
+
   /// Classifies every id of `vocab` (token strings are read once here;
   /// the per-step mask never touches strings).
-  explicit DecodeGrammar(const text::Vocab& vocab);
+  explicit DecodeGrammar(const text::Vocab& vocab) { Extend(vocab); }
+
+  /// Classifies the ids `vocab` gained since the last call. Vocabularies
+  /// only grow and never renumber, so the result equals
+  /// DecodeGrammar(vocab) while each id is read once over all calls.
+  void Extend(const text::Vocab& vocab);
 
   /// False when the vocabulary lacks the SELECT token — then no legal
   /// sentence exists and callers must decode unmasked.
@@ -90,8 +99,14 @@ class DecodeGrammar {
     return classes_[static_cast<size_t>(token_id)];
   }
 
+  /// Ids whose legality depends on the decode state alone (SELECT,
+  /// WHERE, AND, aggregates, operators, <eos>, <unk>), ascending. The
+  /// rest of a query's emittable domain is its source tokens.
+  const std::vector<int>& structural_ids() const { return structural_ids_; }
+
  private:
   std::vector<TokenClass> classes_;  // by vocab id
+  std::vector<int> structural_ids_;
   bool usable_ = false;
 };
 

@@ -81,6 +81,7 @@ Seq2SeqTranslator::Seq2SeqTranslator(const ModelConfig& config)
   attention_ = std::make_unique<nn::AdditiveAttention>(2 * h, h, rng);
   query_proj_ = std::make_unique<nn::Linear>(2 * h, h, rng, /*use_bias=*/false);
   output_proj_ = std::make_unique<nn::Linear>(4 * h, kVocabBudget, rng);
+  grammar_.Extend(vocab_);
 }
 
 void Seq2SeqTranslator::AddVocabulary(const std::vector<std::string>& tokens) {
@@ -105,6 +106,7 @@ void Seq2SeqTranslator::AddVocabulary(const std::vector<std::string>& tokens) {
       embedding_->SetRow(id, row);
     }
   }
+  grammar_.Extend(vocab_);
 }
 
 Seq2SeqTranslator::EncoderOutput Seq2SeqTranslator::Encode(
@@ -333,14 +335,10 @@ StatusOr<Seq2SeqTranslator::ScoredTokens> Seq2SeqTranslator::Search(
     case DecodeMode::kReference:
       return BeamSearch(source, beam_width, ctx, /*grammar=*/nullptr);
     case DecodeMode::kReferenceMasked: {
-      if (!GrammarMaskEligible()) {
+      if (!GrammarMaskEligible() || !grammar_.usable()) {
         return BeamSearch(source, beam_width, ctx, /*grammar=*/nullptr);
       }
-      const DecodeGrammar grammar(vocab_);
-      if (!grammar.usable()) {
-        return BeamSearch(source, beam_width, ctx, /*grammar=*/nullptr);
-      }
-      return BeamSearch(source, beam_width, ctx, &grammar);
+      return BeamSearch(source, beam_width, ctx, &grammar_);
     }
     case DecodeMode::kFastUnmasked:
       return FastBeamSearch(source, beam_width, /*use_grammar_mask=*/false,

@@ -189,6 +189,9 @@ class Seq2SeqTranslator : public TranslatorInterface {
 
   ModelConfig config_;
   text::Vocab vocab_;
+  // vocab_ classified for the grammar mask; extended by AddVocabulary,
+  // so masked decoding never re-reads token strings per query.
+  DecodeGrammar grammar_;
   mutable Rng symbol_rng_;
   std::atomic<DecodeMode> decode_mode_{DecodeMode::kFast};
 

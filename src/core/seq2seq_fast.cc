@@ -3,16 +3,18 @@
 /// `FastDecodeState` re-implements `Seq2SeqTranslator::BeamSearch` without
 /// the autodiff tape: every intermediate lives in a Workspace arena, every
 /// matrix product is a direct GemmAccumulateRaw call, and the GRU gate
-/// products for the whole beam frontier are batched into single [B, 3H]
-/// GEMMs. The per-query encoder state (encoder states, projected attention
-/// keys, copy-scatter slot table, gathered output columns for the grammar
-/// mask) is computed once and reused every step.
+/// products and output logits for the whole beam frontier are batched
+/// into single [B, 3H] and [B, |domain|] GEMMs. The per-query encoder
+/// state (encoder states, projected attention keys, copy-scatter slot
+/// table, gathered output columns for the grammar mask) is computed once
+/// and reused every step.
 ///
 /// The contract is bitwise equivalence with the reference implementation:
 /// kFastUnmasked reproduces kReference and kFast reproduces
 /// kReferenceMasked — same token sequences, same hypothesis scores, same
 /// error statuses. That only holds because (a) this TU replicates each
-/// elementwise formula of tensor/ops.cc in the reference evaluation order,
+/// elementwise formula of tensor/ops.cc in the reference evaluation order
+/// (tanh through the same kernel-tier TanhInPlace as ops::Tanh),
 /// (b) GemmAccumulateRaw shares the deterministic kernels whose per-output
 /// accumulation order is independent of batching and threading, and
 /// (c) this file compiles with -ffp-contract=off like the kernel TUs, so
@@ -22,6 +24,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -58,8 +61,10 @@ void AddBiasRows(float* out, const float* bias, int rows, int cols) {
 
 /// GruCell::Step after the two gate GEMMs, batched over `batch` rows:
 /// gi/gh are [batch, 3H] with biases already added, h_prev/h_next are
-/// [batch, H]. Gate layout [reset, update, new]; the h' association
-/// (n - z*n) + (z*h) matches rnn.cc exactly.
+/// [batch, H] and must not overlap. Gate layout [reset, update, new]; the
+/// h' association (n - z*n) + (z*h) matches rnn.cc exactly. Each row's
+/// candidate pre-activation is staged in its h_next row so one
+/// TanhInPlace call covers the row.
 void GruElementwise(const float* gi, const float* gh, const float* h_prev,
                     float* h_next, int batch, int H) {
   for (int b = 0; b < batch; ++b) {
@@ -69,8 +74,12 @@ void GruElementwise(const float* gi, const float* gh, const float* h_prev,
     float* hn = h_next + static_cast<size_t>(b) * H;
     for (int j = 0; j < H; ++j) {
       const float r = SigmoidF(gib[j] + ghb[j]);
+      hn[j] = gib[2 * H + j] + r * ghb[2 * H + j];
+    }
+    TanhInPlace(hn, H);
+    for (int j = 0; j < H; ++j) {
       const float z = SigmoidF(gib[H + j] + ghb[H + j]);
-      const float n = std::tanh(gib[2 * H + j] + r * ghb[2 * H + j]);
+      const float n = hn[j];
       hn[j] = (n - z * n) + (z * hp[j]);
     }
   }
@@ -200,9 +209,9 @@ class FastDecodeState {
   const int vocab_size_;
   const int n_;     // source length
 
-  // The grammar is built per query (vocabulary classification is O(V) on
-  // token strings); an unusable grammar downgrades to unmasked decoding.
-  DecodeGrammar grammar_;
+  // The translator's grammar (classified once, as its vocabulary grew);
+  // an unusable grammar downgrades to unmasked decoding.
+  const DecodeGrammar& grammar_;
   const bool masked_;
   int score_width_ = 0;
   int gemm_width_ = 0;
@@ -233,7 +242,7 @@ class FastDecodeState {
   float* d_next_ = nullptr;
   float* query_ = nullptr;
   float* tanh_keys_ = nullptr;
-  float* energies_ = nullptr;
+  float* energies_all_ = nullptr;
   float* weights_all_ = nullptr;
   float* beta_next_ = nullptr;
   float* cat_ = nullptr;
@@ -271,10 +280,7 @@ FastDecodeState::FastDecodeState(const Seq2SeqTranslator& translator,
       xin_(translator.config_.word_dim + 2 * translator.config_.seq2seq_hidden),
       vocab_size_(translator.vocab_.size()),
       n_(static_cast<int>(source.size())),
-      // The grammar is built per query (vocabulary classification is O(V)
-      // on token strings); an unusable grammar downgrades to unmasked
-      // decoding.
-      grammar_(translator.vocab_),
+      grammar_(translator.grammar_),
       masked_(use_grammar_mask && grammar_.usable()) {}
 
 Status FastDecodeState::Admit() {
@@ -350,7 +356,7 @@ void FastDecodeState::BuildEncoderCache() {
     GemmAccumulateRaw(cat0, t_.init_proj_->weight()->value.data(), cache_.d0,
                       1, h2, h2);
     AddBiasRows(cache_.d0, t_.init_proj_->bias()->value.data(), 1, h2);
-    for (int j = 0; j < h2; ++j) cache_.d0[j] = std::tanh(cache_.d0[j]);
+    TanhInPlace(cache_.d0, h2);
 
     // Projected attention keys: [n, 2h] x [2h, att].
     cache_.mem_proj = ws.Floats(static_cast<size_t>(n) * att);
@@ -365,24 +371,21 @@ void FastDecodeState::BuildEncoderCache() {
       // walk ids in the same order as the reference masked path).
       cache_.in_source.assign(vocab_size, 0);
       for (int id : cache_.source_ids) cache_.in_source[id] = 1;
-      std::vector<int> slot_of_id(vocab_size, -1);
-      for (int id = 0; id < vocab_size; ++id) {
-        const DecodeGrammar::TokenClass c = grammar_.Classify(id);
-        const bool structural = c == DecodeGrammar::TokenClass::kSelect ||
-                                c == DecodeGrammar::TokenClass::kWhere ||
-                                c == DecodeGrammar::TokenClass::kAnd ||
-                                c == DecodeGrammar::TokenClass::kAgg ||
-                                c == DecodeGrammar::TokenClass::kOp ||
-                                c == DecodeGrammar::TokenClass::kEos ||
-                                c == DecodeGrammar::TokenClass::kUnk;
-        if (structural || cache_.in_source[id]) {
-          slot_of_id[id] = static_cast<int>(cache_.domain.size());
-          cache_.domain.push_back(id);
-        }
-      }
+      std::vector<int> source_sorted = cache_.source_ids;
+      std::sort(source_sorted.begin(), source_sorted.end());
+      source_sorted.erase(
+          std::unique(source_sorted.begin(), source_sorted.end()),
+          source_sorted.end());
+      const std::vector<int>& structural = grammar_.structural_ids();
+      std::set_union(structural.begin(), structural.end(),
+                     source_sorted.begin(), source_sorted.end(),
+                     std::back_inserter(cache_.domain));
       cache_.slot_of_src.resize(n);
       for (int i = 0; i < n; ++i) {
-        cache_.slot_of_src[i] = slot_of_id[cache_.source_ids[i]];
+        cache_.slot_of_src[i] = static_cast<int>(
+            std::lower_bound(cache_.domain.begin(), cache_.domain.end(),
+                             cache_.source_ids[i]) -
+            cache_.domain.begin());
       }
       // Gather U's columns (and bias entries) for the domain once per
       // query: logits over the domain then cost [B, 4h]x[4h, |domain|]
@@ -417,7 +420,7 @@ void FastDecodeState::BuildEncoderCache() {
   d_next_ = ws.Floats(static_cast<size_t>(W) * h2);
   query_ = ws.Floats(static_cast<size_t>(W) * att);
   tanh_keys_ = ws.Floats(static_cast<size_t>(n) * att);
-  energies_ = ws.Floats(n);
+  energies_all_ = ws.Floats(static_cast<size_t>(W) * n);
   weights_all_ = ws.Floats(static_cast<size_t>(W) * n);
   beta_next_ = ws.Floats(static_cast<size_t>(W) * h2);
   cat_ = ws.Floats(static_cast<size_t>(W) * h4);
@@ -575,18 +578,20 @@ void FastDecodeState::FinishStep() {
     for (int i = 0; i < n; ++i) {
       const float* mrow = cache_.mem_proj + static_cast<size_t>(i) * att;
       float* trow = tanh_keys_ + static_cast<size_t>(i) * att;
-      for (int a = 0; a < att; ++a) trow[a] = std::tanh(mrow[a] + qrow[a]);
+      for (int a = 0; a < att; ++a) trow[a] = mrow[a] + qrow[a];
     }
-    std::fill_n(energies_, n, 0.0f);
-    GemmAccumulateRaw(tanh_keys_, v_w, energies_, n, att, 1);
+    TanhInPlace(tanh_keys_, n * att);
+    float* energies = energies_all_ + static_cast<size_t>(r) * n;
+    std::fill_n(energies, n, 0.0f);
+    GemmAccumulateRaw(tanh_keys_, v_w, energies, n, att, 1);
 
     // SoftmaxRows over [1, n] (unclamped exp, reference loop order).
     float* wrow = weights_all_ + static_cast<size_t>(r) * n;
-    float mx = energies_[0];
-    for (int i = 1; i < n; ++i) mx = std::max(mx, energies_[i]);
+    float mx = energies[0];
+    for (int i = 1; i < n; ++i) mx = std::max(mx, energies[i]);
     float wsum = 0.0f;
     for (int i = 0; i < n; ++i) {
-      wrow[i] = std::exp(energies_[i] - mx);
+      wrow[i] = std::exp(energies[i] - mx);
       wsum += wrow[i];
     }
     for (int i = 0; i < n; ++i) wrow[i] /= wsum;
@@ -600,24 +605,29 @@ void FastDecodeState::FinishStep() {
                 d_next_ + static_cast<size_t>(r) * h2, sizeof(float) * h2);
     std::memcpy(cat_ + static_cast<size_t>(r) * h4 + h2, brow,
                 sizeof(float) * h2);
+  }
 
-    // Output scores: exp(U [d;beta] + b) plus copy mass. The copy mass
-    // accumulates in its own zeroed buffer and is added afterwards,
-    // replicating ops::Add(Exp(logits), ScatterSumCols(...)) so the
-    // float addition association matches the reference bitwise.
+  // Output logits U [d;beta] + b for the whole frontier: one
+  // [B, 4h] x [4h, gemm_width] GEMM.
+  std::fill_n(logits_, static_cast<size_t>(B) * gemm_width, 0.0f);
+  GemmAccumulateRaw(cat_, masked_ ? cache_.u_sub : out_w, logits_, B, h4,
+                    gemm_width);
+
+  // Output scores: exp(logits) plus copy mass. The copy mass accumulates
+  // in its own zeroed buffer and is added afterwards, replicating
+  // ops::Add(Exp(logits), ScatterSumCols(...)) so the float addition
+  // association matches the reference bitwise.
+  for (int r = 0; r < B; ++r) {
     float* lrow = logits_ + static_cast<size_t>(r) * gemm_width;
-    std::fill_n(lrow, gemm_width, 0.0f);
-    const float* w_mat = masked_ ? cache_.u_sub : out_w;
-    GemmAccumulateRaw(cat_ + static_cast<size_t>(r) * h4, w_mat, lrow, 1, h4,
-                      gemm_width);
     AddBiasRows(lrow, masked_ ? cache_.bias_sub : out_b, 1, score_width);
     float* srow = scores_ + static_cast<size_t>(r) * score_width;
     if (t_.config_.use_copy_mechanism) {
+      const float* energies = energies_all_ + static_cast<size_t>(r) * n;
       std::fill_n(mass_, score_width, 0.0f);
       for (int i = 0; i < n; ++i) {
         const int slot =
             masked_ ? cache_.slot_of_src[i] : cache_.source_ids[i];
-        mass_[slot] += ClampedExpF(energies_[i]);
+        mass_[slot] += ClampedExpF(energies[i]);
       }
       for (int s = 0; s < score_width; ++s) {
         srow[s] = ClampedExpF(lrow[s]) + mass_[s];

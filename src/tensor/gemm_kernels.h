@@ -13,6 +13,14 @@
 //
 // Each function processes output rows [ib, ie) only, so callers can
 // partition rows across the thread pool without further coordination.
+//
+// The tiers also carry the model's one transcendental that is not a
+// GEMM: tanh. TanhInPlace is a lane-parallel port of glibc's fdlibm
+// tanhf (with its expm1f), so each element gets exactly the bits that
+// tanhf returned when the model called libm, at ~2x (base) to ~4x (AVX2)
+// its speed. Every tanh in src/ goes through it, so model outputs no
+// longer depend on the host libm's tanhf: a libm with a different one (a
+// correctly rounded tanhf, say) would otherwise move the golden traces.
 
 namespace nlidb {
 namespace gemm {
@@ -26,6 +34,8 @@ using RowsABtFn = void (*)(const float* a, const float* b, float* out, int ib,
 // out[ib..ie) += (a^T)[ib..ie) * b      (a [k,m], b [k,n], out [m,n])
 using RowsAtBFn = void (*)(const float* a, const float* b, float* out, int ib,
                            int ie, int k, int m, int n);
+// x[0..n) = tanh(x[0..n)) in place.
+using TanhFn = void (*)(float* x, int n);
 
 namespace base {
 void RowsAB(const float* a, const float* b, float* out, int ib, int ie, int k,
@@ -34,6 +44,10 @@ void RowsABt(const float* a, const float* b, float* out, int ib, int ie, int k,
              int n);
 void RowsAtB(const float* a, const float* b, float* out, int ib, int ie, int k,
              int m, int n);
+void TanhInPlace(float* x, int n);
+/// The scalar port behind TanhInPlace (its tail, and the reference its
+/// vector lanes are tested against).
+[[nodiscard]] float TanhScalar(float x);
 }  // namespace base
 
 namespace avx2 {
@@ -46,12 +60,14 @@ void RowsABt(const float* a, const float* b, float* out, int ib, int ie, int k,
              int n);
 void RowsAtB(const float* a, const float* b, float* out, int ib, int ie, int k,
              int m, int n);
+void TanhInPlace(float* x, int n);
 }  // namespace avx2
 
 struct RowKernels {
   RowsABFn rows_ab;
   RowsABtFn rows_abt;
   RowsAtBFn rows_atb;
+  TanhFn tanh_inplace;
 };
 
 /// Kernel tier selection. `kAuto` picks the best tier the CPU supports;
@@ -74,7 +90,9 @@ void SetTier(Tier tier);
 /// other memory — both tables compute bitwise-identical results.
 [[nodiscard]] Tier ActiveTier();
 
-/// The kernel table for the active tier.
+/// The kernel table for the active tier. Each call counts one GEMM
+/// dispatch (`gemm.dispatch.{base,avx2}`); nlidb::TanhInPlace reads the
+/// same table without counting.
 [[nodiscard]] const RowKernels& Kernels();
 
 }  // namespace gemm

@@ -49,6 +49,8 @@ void RowsAtB(const float* a, const float* b, float* out, int ib, int ie, int k,
   base::RowsAtB(a, b, out, ib, ie, k, m, n);
 }
 
+void TanhInPlace(float* x, int n) { base::TanhInPlace(x, n); }
+
 }  // namespace avx2
 }  // namespace gemm
 }  // namespace nlidb

@@ -9,3 +9,13 @@
 #define NLIDB_GEMM_VEC VecF4
 #define NLIDB_GEMM_MR 4
 #include "tensor/gemm_kernels.inc"
+
+namespace nlidb {
+namespace gemm {
+namespace base {
+
+float TanhScalar(float x) { return TanhScalarImpl(x); }
+
+}  // namespace base
+}  // namespace gemm
+}  // namespace nlidb

@@ -296,8 +296,10 @@ namespace gemm {
 
 namespace {
 
-constexpr RowKernels kBaseKernels{base::RowsAB, base::RowsABt, base::RowsAtB};
-constexpr RowKernels kAvx2Kernels{avx2::RowsAB, avx2::RowsABt, avx2::RowsAtB};
+constexpr RowKernels kBaseKernels{base::RowsAB, base::RowsABt, base::RowsAtB,
+                                  base::TanhInPlace};
+constexpr RowKernels kAvx2Kernels{avx2::RowsAB, avx2::RowsABt, avx2::RowsAtB,
+                                  avx2::TanhInPlace};
 
 Tier TierFromEnv() {
   const char* env = std::getenv("NLIDB_GEMM_TIER");
@@ -345,5 +347,11 @@ const RowKernels& Kernels() {
 }
 
 }  // namespace gemm
+
+void TanhInPlace(float* x, int n) {
+  // Not through Kernels(): its dispatch counters count GEMM calls.
+  const bool avx2 = gemm::ActiveTier() == gemm::Tier::kAvx2;
+  (avx2 ? gemm::kAvx2Kernels : gemm::kBaseKernels).tanh_inplace(x, n);
+}
 
 }  // namespace nlidb

@@ -150,6 +150,12 @@ void MatMulTransposeAAccumulateReference(const Tensor& a, const Tensor& b,
 void MatMulTransposeBAccumulateReference(const Tensor& a, const Tensor& b,
                                          Tensor& out);
 
+/// x[0..n) = tanh(x[0..n)) in place, through the active kernel tier
+/// (gemm_kernels.h). Bitwise equal to glibc's tanhf on every input and on
+/// both tiers; every tanh in the model goes through here, so outputs do
+/// not depend on the host libm.
+void TanhInPlace(float* x, int n);
+
 /// Work threshold (2*m*n*k flops) above which the accumulate kernels
 /// partition rows across the global thread pool.
 inline constexpr long long kGemmParallelFlops = 1LL << 23;

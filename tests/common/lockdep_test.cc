@@ -8,6 +8,7 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -252,6 +253,35 @@ TEST(LockdepTest, NamedMutexMetricsRecorded) {
                 .GetCounter("lockdep.acquisitions")
                 .Value(),
             5);
+}
+
+TEST(LockdepTest, HeldSetOverflowIsCountedAndUnwindsCleanly) {
+  // Nesting deeper than the per-thread held stack holds: the extra
+  // acquisitions are counted and left untracked, and unwinding leaves
+  // the stack empty (no stale entry invents an ordering afterwards).
+  DetectorScope detector;
+  metrics::Counter& overflow =
+      metrics::MetricsRegistry::Global().GetCounter("lockdep.held_overflow");
+  const int64_t overflow_before = overflow.Value();
+  constexpr int kDepth = 40;
+  std::vector<std::string> names;
+  for (int i = 0; i < kDepth; ++i) {
+    names.push_back("test.deep_" + std::to_string(i));
+  }
+  std::vector<std::unique_ptr<Mutex>> mus;
+  for (const std::string& name : names) {
+    mus.push_back(std::make_unique<Mutex>(name.c_str()));
+  }
+  std::vector<std::unique_ptr<MutexLock>> holds;
+  for (auto& mu : mus) holds.push_back(std::make_unique<MutexLock>(*mu));
+  while (!holds.empty()) holds.pop_back();  // innermost first
+  EXPECT_GT(overflow.Value(), overflow_before);
+  Mutex probe{"test.deep_probe"};
+  {
+    MutexLock hold_probe(probe);
+    MutexLock hold_first(*mus.front());
+  }
+  EXPECT_TRUE(lockdep::Reports().empty());
 }
 
 TEST(LockdepTest, ClearReportsKeepsLearnedOrder) {

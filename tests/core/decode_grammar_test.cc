@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -46,6 +47,38 @@ TEST(DecodeGrammarTest, ClassifiesEveryTokenClass) {
   EXPECT_EQ(g.Classify(v.GetId("g1")), TC::kHeaderSym);
   EXPECT_EQ(g.Classify(v.GetId("revenue")), TC::kLiteral);
   EXPECT_EQ(g.Classify(v.GetId("1996")), TC::kLiteral);
+}
+
+TEST(DecodeGrammarTest, StructuralIdsAreTheStateOnlyClassesAscending) {
+  text::Vocab v = MakeVocab();
+  DecodeGrammar g(v);
+  std::vector<int> want = {text::Vocab::kUnk, text::Vocab::kEos};
+  for (const char* t : {"SELECT", "WHERE", "AND", "MAX", "COUNT", "=", ">",
+                        "<"}) {
+    want.push_back(v.GetId(t));
+  }
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(g.structural_ids(), want);
+}
+
+TEST(DecodeGrammarTest, ExtendMatchesFreshClassification) {
+  // Growing a grammar token by token (the translator's AddVocabulary
+  // path) must equal classifying the finished vocabulary at once.
+  const text::Vocab full = MakeVocab();
+  text::Vocab v;
+  DecodeGrammar grown(v);
+  EXPECT_FALSE(grown.usable());
+  for (int id = text::Vocab::kEos + 1; id < full.size(); ++id) {
+    v.AddToken(full.GetToken(id));
+    grown.Extend(v);
+  }
+  grown.Extend(v);  // no new ids: a no-op
+  const DecodeGrammar fresh(v);
+  EXPECT_TRUE(grown.usable());
+  EXPECT_EQ(grown.structural_ids(), fresh.structural_ids());
+  for (int id = 0; id < v.size(); ++id) {
+    EXPECT_EQ(grown.Classify(id), fresh.Classify(id)) << v.GetToken(id);
+  }
 }
 
 TEST(DecodeGrammarTest, UnusableWithoutSelect) {

@@ -157,6 +157,34 @@ TEST(GemmTest, BothIsaTiersMatchReferenceBitwise) {
   }
 }
 
+TEST(GemmTest, RowsABRowTailSweepMatchesReferenceBitwiseOnBothTiers) {
+  // Every row count up to two full panels plus one (MR = 6 for AVX2, so
+  // also past base's MR = 4) reaches each 1..MR-1 row tail panel
+  // deterministically, across column counts below, on and past the
+  // 8/16-wide vector panels and a wide 384 (the decoder's 3H gate width).
+  constexpr int kMaxMr = 6;
+  Rng rng(2024);
+  for (int m = 1; m <= 2 * kMaxMr + 1; ++m) {
+    for (const int n : {1, 7, 16, 17, 36, 384}) {
+      for (const int k : {1, 64, 176}) {
+        Tensor a = Tensor::Gaussian({m, k}, 1.0f, rng);
+        Tensor b = Tensor::Gaussian({k, n}, 1.0f, rng);
+        Tensor want = Tensor::Gaussian({m, n}, 0.5f, rng);
+        Tensor got_base = want;
+        Tensor got_avx2 = want;
+        MatMulAccumulateReference(a, b, want);
+        gemm::base::RowsAB(a.data(), b.data(), got_base.data(), 0, m, k, n);
+        gemm::avx2::RowsAB(a.data(), b.data(), got_avx2.data(), 0, m, k, n);
+        const std::string ctx = "m=" + std::to_string(m) +
+                                " k=" + std::to_string(k) +
+                                " n=" + std::to_string(n);
+        ExpectBitwiseEqual(got_base, want, "base " + ctx);
+        ExpectBitwiseEqual(got_avx2, want, "avx2 " + ctx);
+      }
+    }
+  }
+}
+
 TEST(GemmTest, ReferenceKernelsAgreeWithNaiveDot) {
   // Anchor the reference kernels themselves against a freshly written
   // naive dot product (guards against the reference drifting).
