@@ -8,8 +8,9 @@
 
 // In addition to the accuracy table, the binary measures the annotation
 // substrate: end-to-end Annotate latency as the schema widens, and the
-// batched column-mention pass against a serial per-column emulation of
-// the pre-substrate annotator. Results merge into BENCH_substrate.json.
+// annotator's graph-free column-mention pass against a serial per-column
+// emulation of the pre-substrate annotator. Results merge into
+// BENCH_substrate.json, stamped with commit, core count and ISA tier.
 
 #include "bench/bench_util.h"
 
@@ -86,16 +87,19 @@ sql::Table MakeWideTable(int width) {
   return table;
 }
 
-// Annotate latency vs schema width, plus the batched column-mention pass
+// Annotate latency vs schema width, plus the annotator's column-mention
+// pass (one AdversarialLocator::ScoreColumns call: graph-free forward for
+// every column, hand-derived influence backward for the accepted ones)
 // against a serial per-column emulation of the pre-substrate annotator
-// (Predict each column, ComputeInfluence on accepted ones, one at a
-// time). Both run on the current tiled kernels, so the speedup isolates
-// batching + the pool fan-out, conservatively: the seed additionally ran
-// naive GEMM loops.
+// (taped Predict for each column, taped ComputeInfluence on accepted
+// ones, one at a time). Both run on the current tiled kernels, so the
+// speedup isolates the fast path, conservatively: the seed additionally
+// ran naive GEMM loops.
 void SubstrateLatencySection(core::NlidbPipeline& pipeline, BenchEnv& env) {
   std::printf("\n--- annotation substrate latency (threads=%d) ---\n",
               ThreadPool::Global().parallelism());
   bench::FlatJson json = bench::FlatJson::Load(bench::SubstrateJsonPath());
+  StampMachine(json);
   json.Set("annotate_threads", ThreadPool::Global().parallelism());
 
   const std::vector<std::vector<std::string>> questions = {
@@ -143,20 +147,9 @@ void SubstrateLatencySection(core::NlidbPipeline& pipeline, BenchEnv& env) {
 
   const double batched_ns = TimeNs([&] {
     for (const auto& q : questions) {
-      const std::vector<float> probs = clf.PredictBatch(q, displays).value();
-      std::vector<int> accepted;
-      for (int c = 0; c < static_cast<int>(probs.size()); ++c) {
-        if (probs[c] >= kThreshold) accepted.push_back(c);
-      }
-      std::vector<core::InfluenceProfile> profiles(accepted.size());
-      ThreadPool::Global().ParallelFor(
-          0, static_cast<int>(accepted.size()), [&](int jb, int je) {
-            for (int j = jb; j < je; ++j) {
-              profiles[j] =
-                  locator.ComputeInfluence(clf, q, displays[accepted[j]])
-                      .value();
-            }
-          });
+      StatusOr<core::AdversarialLocator::ScoredColumns> scored =
+          locator.ScoreColumns(clf, q, displays, kThreshold);
+      Status::IgnoreError(scored.status());
     }
   }) / questions.size();
 

@@ -4,8 +4,7 @@
 // Deadline / cancellation plumbing for the query path (DESIGN.md
 // "Fault-tolerance architecture"). A CancelContext rides along a
 // request and is polled at stage boundaries and inside the expensive
-// inner loops (beam-search decode steps, annotator fan-outs, value-span
-// scoring); an expired context surfaces as StatusCode::kDeadlineExceeded
+// inner loops (beam-search decode steps, value-span scoring); an expired context surfaces as StatusCode::kDeadlineExceeded
 // instead of an unbounded computation.
 
 #include <atomic>

@@ -36,6 +36,30 @@ class AdversarialLocator {
       const std::vector<std::string>& question,
       const std::vector<std::string>& column) const;
 
+  /// The annotator's classifier pass in one call: PredictBatch's
+  /// probabilities and, for every column whose probability is at least
+  /// `threshold`, the profile ComputeInfluence returns for it — bitwise,
+  /// from the graph-free pass (ColumnMentionClassifier::
+  /// PredictBatchWithGradients) instead of a taped forward + Backward
+  /// per column. `profiles[c]` is empty for columns below the threshold.
+  struct ScoredColumns {
+    std::vector<float> probabilities;
+    std::vector<InfluenceProfile> profiles;
+  };
+  StatusOr<ScoredColumns> ScoreColumns(
+      const ColumnMentionClassifier& classifier,
+      const std::vector<std::string>& question,
+      const std::vector<std::vector<std::string>>& columns,
+      float threshold) const;
+
+  /// The paper's per-token norms over logit gradients, shared by the
+  /// tape and fast paths: word_level[i] = ||word_grad row i||_p,
+  /// char_level[i] = ||char_grad row i||_p, total = alpha*word +
+  /// beta*char. `word_grad` is [n, word_dim], `char_grad` [n, char_dim].
+  InfluenceProfile ProfileFromGradients(int n, const float* word_grad,
+                                        int word_dim, const float* char_grad,
+                                        int char_dim) const;
+
   /// Picks the mention span from an influence profile: seeded at the
   /// influence peak and greedily extended while neighbors stay above
   /// half the peak, capped at `config.max_mention_length` (the paper's

@@ -5,7 +5,6 @@
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/strings.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "text/distance.h"
 #include "text/stopwords.h"
@@ -244,9 +243,10 @@ StatusOr<std::vector<ColumnMentionCandidate>> Annotator::ClassifierColumnPass(
   trace::TraceSpan span("annotator.classifier");
   AdversarialLocator locator(config_);
 
-  // Phase 1 (batched): score every unmatched column in one classifier
-  // graph. Bitwise identical per column to Predict, so the acceptance
-  // decisions are exactly those of the sequential pass.
+  // Score every unmatched column and compute the influence profiles of
+  // the accepted ones in one graph-free pass on this thread. Bitwise
+  // identical per column to Predict and ComputeInfluence, so acceptance
+  // decisions and spans are exactly those of the sequential tape pass.
   std::vector<int> pending;
   std::vector<std::vector<std::string>> displays;
   for (int c = 0; c < schema.num_columns(); ++c) {
@@ -258,54 +258,25 @@ StatusOr<std::vector<ColumnMentionCandidate>> Annotator::ClassifierColumnPass(
   if (pending.empty()) return out;
   columns_scored.Increment(static_cast<int64_t>(pending.size()));
   NLIDB_RETURN_IF_ERROR(CheckCancel(ctx, "annotator.classifier_batch"));
-  StatusOr<std::vector<float>> probs_or =
-      classifier_->PredictBatch(tokens, displays);
-  if (!probs_or.ok()) return probs_or.status();
-  const std::vector<float>& probs = *probs_or;
-
-  // Phase 2 (parallel): influence profiles for the accepted columns.
-  // ComputeInfluence depends only on (question, column) — not on the
-  // claimed mask — so the per-column passes fan out across the thread
-  // pool into index-addressed slots. The seed code also ran a second full
-  // Forward here (inside ComputeInfluence) for accepted columns; that is
-  // now the only forward they need, since scoring was batched above.
+  StatusOr<AdversarialLocator::ScoredColumns> scored_or =
+      locator.ScoreColumns(*classifier_, tokens, displays,
+                           kClassifierThreshold);
+  if (!scored_or.ok()) return scored_or.status();
+  AdversarialLocator::ScoredColumns& scored = *scored_or;
   std::vector<int> accepted;
   for (size_t j = 0; j < pending.size(); ++j) {
-    if (probs[j] >= kClassifierThreshold) accepted.push_back(static_cast<int>(j));
+    if (scored.probabilities[j] >= kClassifierThreshold) {
+      accepted.push_back(static_cast<int>(j));
+    }
   }
   influence_fanouts.Increment(static_cast<int64_t>(accepted.size()));
-  std::vector<InfluenceProfile> profiles(accepted.size());
-  std::vector<Status> chunk_status(accepted.size());
-  const CancelContext pool_ctx = ctx != nullptr ? *ctx : CancelContext{};
-  NLIDB_RETURN_IF_ERROR(ThreadPool::Global().ParallelFor(
-      0, static_cast<int>(accepted.size()),
-      [&](int jb, int je) {
-        // Worker-side span; parented under "annotator.classifier" via
-        // the trace-parent propagation in ThreadPool::RunJob.
-        trace::TraceSpan chunk("annotator.influence");
-        chunk.Annotate("columns", static_cast<int64_t>(je - jb));
-        for (int j = jb; j < je; ++j) {
-          StatusOr<InfluenceProfile> profile = locator.ComputeInfluence(
-              *classifier_, tokens, displays[accepted[j]]);
-          if (profile.ok()) {
-            profiles[j] = std::move(profile).value();
-          } else {
-            chunk_status[j] = profile.status();
-          }
-        }
-      },
-      pool_ctx));
-  for (const Status& s : chunk_status) {
-    NLIDB_RETURN_IF_ERROR(s);
-  }
 
-  // Phase 3 (sequential, original column order): masking, span location,
-  // and claiming. The claimed mask evolves between columns exactly as in
-  // the sequential pass, so results are unchanged.
-  for (size_t j = 0; j < accepted.size(); ++j) {
-    const int c = pending[accepted[j]];
-    const float p = probs[accepted[j]];
-    InfluenceProfile& profile = profiles[j];
+  // Masking, span location and claiming, in column order: the claimed
+  // mask evolves between columns exactly as in the sequential pass.
+  for (int j : accepted) {
+    const int c = pending[j];
+    const float p = scored.probabilities[j];
+    InfluenceProfile& profile = scored.profiles[j];
     // Tokens already claimed by higher-confidence evidence (exact values,
     // context-free column matches, learned values) and stop words are
     // masked out of the influence profile — a column mention is never

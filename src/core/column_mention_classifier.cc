@@ -153,110 +153,6 @@ StatusOr<float> ColumnMentionClassifier::Predict(
   return 1.0f / (1.0f + std::exp(-x));
 }
 
-StatusOr<std::vector<float>> ColumnMentionClassifier::PredictBatch(
-    const std::vector<std::string>& question,
-    const std::vector<std::vector<std::string>>& columns) const {
-  const int batch = static_cast<int>(columns.size());
-  if (batch == 0) return std::vector<float>{};
-  // Shared question encoding, computed once instead of once per column.
-  Var q_word;
-  StatusOr<Var> q_emb_or = Embed(question, &q_word, nullptr);
-  if (!q_emb_or.ok()) return q_emb_or.status();
-  Var q_emb = *q_emb_or;
-  Var q_word_t = ops::Transpose(q_word);
-  Var sq = question_lstm_->Forward(q_emb);
-  Var memory_proj = attention_->ProjectMemory(sq);
-  const int h = config_.classifier_hidden;
-
-  // Per-column encodings and BiDAF similarity features (cheap: a column
-  // is a handful of words).
-  std::vector<Var> sc(batch);
-  std::vector<Var> sim_max(batch);
-  std::vector<Var> sim_mean(batch);
-  std::vector<int> capped(batch);
-  for (int c = 0; c < batch; ++c) {
-    Var c_word;
-    StatusOr<Var> c_emb_or = Embed(columns[c], &c_word, nullptr);
-    if (!c_emb_or.ok()) return c_emb_or.status();
-    Var c_emb = *c_emb_or;
-    Var sim = ops::MatMul(c_word, q_word_t);
-    sim_max[c] = ops::RowMax(sim);
-    sim_mean[c] = ops::RowMean(sim);
-    sc[c] = column_lstm_->Forward(c_emb);
-    capped[c] = std::min(sc[c]->value.rows(), config_.max_column_words);
-  }
-
-  // Columns of equal capped length walk the attention bi-LSTM in
-  // lockstep: each group member is one row of the shared state matrix,
-  // so the per-step projections, context GEMM, and LSTM cell all run
-  // once per group instead of once per column. Rows evolve independently
-  // through every op involved, which keeps each row bitwise equal to the
-  // serial Forward of that column.
-  std::vector<std::vector<int>> groups(config_.max_column_words + 1);
-  for (int c = 0; c < batch; ++c) groups[capped[c]].push_back(c);
-  std::vector<std::vector<Var>> fw(batch);
-  std::vector<std::vector<Var>> bw(batch);
-  for (int c = 0; c < batch; ++c) {
-    fw[c].resize(capped[c]);
-    bw[c].resize(capped[c]);
-  }
-  for (int len = 1; len <= config_.max_column_words; ++len) {
-    const std::vector<int>& group = groups[len];
-    if (group.empty()) continue;
-    const int g = static_cast<int>(group.size());
-    auto run_direction = [&](bool forward) {
-      std::vector<std::vector<Var>>& outs = forward ? fw : bw;
-      nn::LstmCell& cell = forward ? *fwd_cell_ : *bwd_cell_;
-      nn::LstmCell::State state = cell.InitialState(g);
-      for (int step = 0; step < len; ++step) {
-        const int t = forward ? step : len - 1 - step;
-        std::vector<Var> st_rows(g);
-        for (int i = 0; i < g; ++i) st_rows[i] = ops::PickRow(sc[group[i]], t);
-        Var st = ops::ConcatRows(st_rows);  // [g, h]
-        Var query = ops::Add(query_state_proj_->Forward(st),
-                             query_hidden_proj_->Forward(state.h));
-        std::vector<Var> energy_rows(g);
-        for (int i = 0; i < g; ++i) {
-          energy_rows[i] =
-              attention_->Energies(memory_proj, ops::PickRow(query, i));
-        }
-        Var weights = attention_->Weights(ops::ConcatRows(energy_rows));
-        Var context = attention_->Context(weights, sq);  // [g, h]
-        state = cell.Step(ops::ConcatCols({st, context}), state);
-        for (int i = 0; i < g; ++i) {
-          outs[group[i]][t] = ops::PickRow(state.h, i);
-        }
-      }
-    };
-    run_direction(true);
-    run_direction(false);
-  }
-
-  // One feature row per column, one head-MLP GEMM for all of them.
-  Var zero_slot = MakeVar(Tensor::Zeros({1, 2 * h + 2}));
-  std::vector<Var> feature_rows(batch);
-  for (int c = 0; c < batch; ++c) {
-    std::vector<Var> slots;
-    slots.reserve(config_.max_column_words);
-    for (int t = 0; t < config_.max_column_words; ++t) {
-      if (t < capped[c]) {
-        slots.push_back(ops::ConcatCols({fw[c][t], bw[c][t],
-                                         ops::PickRow(sim_max[c], t),
-                                         ops::PickRow(sim_mean[c], t)}));
-      } else {
-        slots.push_back(zero_slot);
-      }
-    }
-    feature_rows[c] = ops::ConcatCols(slots);
-  }
-  Var logits = head_->Forward(ops::ConcatRows(feature_rows));  // [batch, 1]
-  std::vector<float> probs(batch);
-  for (int c = 0; c < batch; ++c) {
-    probs[c] = 1.0f / (1.0f + std::exp(-logits->value(c, 0)));
-  }
-  return probs;
-}
-
 void ColumnMentionClassifier::CollectParameters(std::vector<Var>* out) const {
   word_embedding_->CollectParameters(out);
   char_embedder_->CollectParameters(out);

@@ -1,6 +1,7 @@
 #ifndef NLIDB_CORE_COLUMN_MENTION_CLASSIFIER_H_
 #define NLIDB_CORE_COLUMN_MENTION_CLASSIFIER_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -60,24 +61,51 @@ class ColumnMentionClassifier : public nn::Module {
   StatusOr<float> Predict(const std::vector<std::string>& question,
                           const std::vector<std::string>& column) const;
 
-  /// Scores every column against the question in one batched graph,
-  /// returning probabilities in column order, bitwise identical to
-  /// calling Predict per column. The question encoding (embeddings,
-  /// question LSTM, attention memory projection) — the dominant cost of
-  /// Predict — is computed once and shared; columns of equal capped
-  /// length walk the attention bi-LSTM in lockstep as rows of one state
-  /// matrix; and all feature rows go through the head MLP as a single
-  /// GEMM (DESIGN.md "Performance architecture").
+  /// Scores every column against the question, returning probabilities
+  /// in column order, bitwise identical to calling Predict per column.
+  /// Runs graph-free on the calling thread's Workspace arena
+  /// (column_mention_fast.cc, DESIGN.md §12): the question encoding is
+  /// computed once and shared, columns of equal capped length walk the
+  /// attention bi-LSTM in lockstep as rows of one state matrix, and every
+  /// row-independent product is one GEMM. No tape node is created.
   StatusOr<std::vector<float>> PredictBatch(
       const std::vector<std::string>& question,
       const std::vector<std::vector<std::string>>& columns) const;
+
+  /// dz/dE_word and dz/dE_char for one column's logit z: `word` is
+  /// [n, word_dim] (the question's word-embedding rows), `chars` is
+  /// [n, char_output_dim()] (its char-CNN outputs), one row per question
+  /// token. Both point into the calling thread's Workspace and are valid
+  /// only during the sink call.
+  struct QuestionGradients {
+    int column = 0;  // index into the `columns` argument
+    const float* word = nullptr;
+    const float* chars = nullptr;
+  };
+  using GradientSink = std::function<void(const QuestionGradients&)>;
+
+  /// PredictBatch plus, for every column whose probability is at least
+  /// `threshold`, a hand-derived backward from its logit to the question
+  /// embeddings, handed to `sink` in column order. The gradients are
+  /// bitwise equal to what Backward(Forward(question, column).logit)
+  /// accumulates at the embedding lookup nodes: the backward replays the
+  /// tape's per-node accumulation order (DESIGN.md §12). Accepted columns
+  /// share GEMMs as rows; there is no second forward and no tape.
+  StatusOr<std::vector<float>> PredictBatchWithGradients(
+      const std::vector<std::string>& question,
+      const std::vector<std::vector<std::string>>& columns, float threshold,
+      const GradientSink& sink) const;
 
   void CollectParameters(std::vector<Var>* out) const override;
 
   const ModelConfig& config() const { return config_; }
   const text::Vocab& vocab() const { return vocab_; }
+  int char_output_dim() const { return char_embedder_->output_dim(); }
 
  private:
+  friend class ColumnMentionFastPass;  // column_mention_fast.cc
+
+
   StatusOr<Var> Embed(const std::vector<std::string>& words,
                       Var* word_lookup,
                       std::vector<Var>* char_outputs) const;

@@ -63,7 +63,7 @@ struct ModelConfig {
   uint64_t seed = 7;
 
   /// Worker threads for the inference substrate (GEMM row partitioning
-  /// and the annotator's per-column influence fan-out). 0 = resolve at
+  /// above kGemmParallelFlops). 0 = resolve at
   /// pipeline construction via ResolveNumThreads(): the NLIDB_NUM_THREADS
   /// environment variable if set, else hardware concurrency. 1 forces the
   /// fully serial path. Any value produces bitwise-identical results

@@ -24,7 +24,7 @@ NlidbPipeline::NlidbPipeline(const ModelConfig& config,
     : config_(config), provider_(std::move(provider)) {
   NLIDB_CHECK(provider_ != nullptr) << "pipeline needs an embedding provider";
   // Size the shared pool once per process; 1 forces every substrate
-  // consumer (GEMM kernels, influence fan-out) onto the serial path.
+  // consumer (the GEMM kernels' row partitioning) onto the serial path.
   ThreadPool::SetGlobalParallelism(config_.ResolveNumThreads());
   classifier_ = std::make_unique<ColumnMentionClassifier>(config_, *provider_);
   value_detector_ = std::make_unique<ValueDetector>(config_, *provider_);

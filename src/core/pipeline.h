@@ -49,8 +49,8 @@ struct QueryRequest {
   bool collect_timings = true;
 
   /// Optional deadline. Polled at stage boundaries and inside the
-  /// expensive inner loops (decode steps, value-span scan, influence
-  /// fan-out); expiry makes Query return DeadlineExceeded instead of
+  /// expensive inner loops (decode steps, value-span scan, before the
+  /// classifier pass); expiry makes Query return DeadlineExceeded instead of
   /// running to completion — never an abort.
   Deadline deadline;
 

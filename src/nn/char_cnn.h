@@ -41,6 +41,14 @@ class CharCnnEmbedder : public Module {
   }
   int char_dim() const { return char_dim_; }
 
+  /// Parameter access for graph-free inference (read-only); `w` indexes
+  /// `widths()`.
+  const std::vector<int>& widths() const { return widths_; }
+  int per_width_dim() const { return per_width_dim_; }
+  const Embedding& char_embedding() const { return *char_embedding_; }
+  const Var& conv_weight(int w) const { return conv_weights_[w]; }
+  const Var& conv_bias(int w) const { return conv_biases_[w]; }
+
  private:
   int char_dim_;
   int per_width_dim_;

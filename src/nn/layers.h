@@ -67,6 +67,11 @@ class Mlp : public Module {
 
   void CollectParameters(std::vector<Var>* out) const override;
 
+  /// Layer access for graph-free inference (read-only); `i` must be in
+  /// [0, num_layers()).
+  int num_layers() const { return static_cast<int>(layers_.size()); }
+  const Linear& layer(int i) const { return *layers_[i]; }
+
  private:
   std::vector<std::unique_ptr<Linear>> layers_;
 };

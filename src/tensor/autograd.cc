@@ -3,6 +3,7 @@
 #include <unordered_set>
 
 #include "common/logging.h"
+#include "common/metrics.h"
 
 namespace nlidb {
 
@@ -18,6 +19,12 @@ void AutogradNode::AccumulateGrad(const Tensor& g) {
 }
 
 Var MakeVar(Tensor value, bool requires_grad) {
+  // Every tape node is born here (ops.cc's NewNode goes through MakeVar),
+  // so this counter is the deterministic "is anything still taping" probe
+  // for inference paths (DESIGN.md §12).
+  static metrics::Counter& nodes_created =
+      metrics::MetricsRegistry::Global().GetCounter("autograd.nodes_created");
+  nodes_created.Increment();
   auto node = std::make_shared<AutogradNode>();
   node->value = std::move(value);
   node->requires_grad = requires_grad;

@@ -34,6 +34,8 @@ class AutogradNode {
 using Var = std::shared_ptr<AutogradNode>;
 
 /// Wraps a tensor as a graph leaf. Parameters pass requires_grad = true.
+/// Every node (leaf or op output) is allocated here and counted in the
+/// `autograd.nodes_created` metric.
 Var MakeVar(Tensor value, bool requires_grad = false);
 
 /// Runs reverse-mode differentiation from `root`, seeding d(root)/d(root)

@@ -11,8 +11,7 @@ namespace {
 
 Var NewNode(Tensor value, std::vector<Var> parents,
             std::function<void(AutogradNode&)> backward_fn) {
-  auto node = std::make_shared<AutogradNode>();
-  node->value = std::move(value);
+  Var node = MakeVar(std::move(value));
   node->parents = std::move(parents);
   node->backward_fn = std::move(backward_fn);
   return node;

@@ -283,12 +283,14 @@ void MatMulTransposeBAccumulate(const Tensor& a, const Tensor& b, Tensor& out) {
   const int n = b.rows();
   NLIDB_CHECK(b.cols() == k && out.rows() == m && out.cols() == n)
       << "MatMulTransposeBAccumulate shape";
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = out.data();
+  GemmAccumulateTransposeBRaw(a.data(), b.data(), out.data(), m, k, n);
+}
+
+void GemmAccumulateTransposeBRaw(const float* a, const float* b, float* out,
+                                 int m, int k, int n) {
   const gemm::RowKernels& kr = gemm::Kernels();
   RunRowPartitioned(2LL * m * k * n, m, [&](int ib, int ie) {
-    kr.rows_abt(pa, pb, po, ib, ie, k, n);
+    kr.rows_abt(a, b, out, ib, ie, k, n);
   });
 }
 

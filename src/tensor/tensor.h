@@ -139,6 +139,13 @@ void GemmAccumulateRaw(const float* a, const float* b, float* out, int m,
 void MatMulTransposeAAccumulate(const Tensor& a, const Tensor& b, Tensor& out);
 /// out += a * b^T ([m,k] x [n,k]^T -> [m,n]).
 void MatMulTransposeBAccumulate(const Tensor& a, const Tensor& b, Tensor& out);
+/// Raw-pointer form of MatMulTransposeBAccumulate: out[m,n] += a[m,k] *
+/// b[n,k]^T, for arena-staged backward passes (the classifier inference
+/// fast path's dX = dY * W^T products). Each output element's k products
+/// are summed from zero in increasing-k order and then added to `out`
+/// once, exactly as in the Tensor form.
+void GemmAccumulateTransposeBRaw(const float* a, const float* b, float* out,
+                                 int m, int k, int n);
 
 /// Scalar reference kernels (the seed's naive loops, kept in their own
 /// translation unit with baseline compile flags). Used by tests to verify

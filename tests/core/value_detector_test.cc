@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/strings.h"
 #include "core/trainer.h"
 #include "data/generator.h"
 
@@ -144,6 +147,74 @@ TEST(ValueDetectorTest, DetectReturnsSortedScores) {
       EXPECT_GT(score, 0.5f);
     }
   }
+}
+
+
+TEST(ValueDetectorTest, DetectMatchesPerPairScoreBitwise) {
+  // Detect scores every (span, column) pair as a row of one batched MLP;
+  // the result must be exactly the per-pair Score scan: same spans, same
+  // columns in the same order, same score bits.
+  auto provider = std::make_shared<text::EmbeddingProvider>(16);
+  data::RegisterDomainClusters(*provider);
+  data::GeneratorConfig gc;
+  gc.num_tables = 6;
+  gc.questions_per_table = 4;
+  gc.seed = 13;
+  data::Splits splits = data::GenerateWikiSqlSplits(gc);
+  ModelConfig config = Config(16);
+  ValueDetector det(config, *provider);
+  schema::SchemaRegistry registry(provider);
+  TrainValueDetector(det, splits.train, registry, config);
+
+  int detected = 0;
+  for (const data::Example& ex : splits.test.examples) {
+    const auto stats = sql::ComputeTableStatistics(*ex.table, *provider);
+    std::vector<ValueDetector::Detection> expected;
+    for (const text::Span& span : det.CandidateSpans(ex.tokens)) {
+      const std::vector<std::string> span_tokens(
+          ex.tokens.begin() + span.begin, ex.tokens.begin() + span.end);
+      bool all_numeric = true;
+      for (const auto& t : span_tokens) all_numeric &= LooksNumeric(t);
+      ValueDetector::Detection d;
+      d.span = span;
+      for (size_t c = 0; c < stats.size(); ++c) {
+        if (stats[c].type == sql::DataType::kReal && !all_numeric) continue;
+        const float score = det.Score(span_tokens, stats[c]).value();
+        if (score > 0.5f) d.column_scores.push_back({static_cast<int>(c), score});
+      }
+      if (d.column_scores.empty()) continue;
+      std::sort(d.column_scores.begin(), d.column_scores.end(),
+                [](const auto& a, const auto& b) { return a.second > b.second; });
+      expected.push_back(std::move(d));
+    }
+    const auto got = det.Detect(ex.tokens, stats).value();
+    ASSERT_EQ(got.size(), expected.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].span, expected[i].span);
+      ASSERT_EQ(got[i].column_scores.size(), expected[i].column_scores.size());
+      for (size_t k = 0; k < got[i].column_scores.size(); ++k) {
+        EXPECT_EQ(got[i].column_scores[k].first,
+                  expected[i].column_scores[k].first);
+        // Bitwise, not NEAR.
+        EXPECT_EQ(got[i].column_scores[k].second,
+                  expected[i].column_scores[k].second);
+      }
+    }
+    detected += static_cast<int>(got.size());
+  }
+  EXPECT_GT(detected, 0);
+}
+
+TEST(ValueDetectorTest, DetectWithMismatchedStatsIsScoresStatus) {
+  text::EmbeddingProvider provider(16);
+  ValueDetector det(Config(16), provider);
+  sql::ColumnStatistics good, bad;
+  good.embedding.assign(16, 0.1f);
+  bad.embedding.assign(4, 0.1f);
+  const Status want = det.Score({"word"}, bad).status();
+  const Status got = det.Detect({"word"}, {good, bad}).status();
+  EXPECT_EQ(got.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(got.message(), want.message());
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <map>
 #include <memory>
 
+#include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "core/pipeline.h"
@@ -193,6 +194,44 @@ TEST_F(GoldenTraceTest, InstrumentationDoesNotPerturbNumerics) {
         "seq2seq.decode"}) {
     EXPECT_GT(by_name[stage], 0) << "no spans for " << stage;
   }
+}
+
+TEST_F(GoldenTraceTest, QueryCreatesNoTapeNodes) {
+  // Inference is graph-free end to end (DESIGN.md §12): the classifier
+  // pass with its influence backward, the value detector and the decoder
+  // all run on arena buffers, so a Query with the default request and
+  // decode mode must not create a single autograd node. One pass over
+  // the corpus first warms up whatever is built lazily.
+  metrics::Counter& nodes = metrics::MetricsRegistry::Global().GetCounter(
+      "autograd.nodes_created");
+  auto query = [&](const data::Example& example) {
+    core::QueryRequest request;
+    request.schema_ref = core::SchemaRef::Table(example.table.get());
+    request.tokens = example.tokens;
+    (void)pipeline_->Query(request);
+  };
+  for (const data::Example& example : trace_corpus_->examples) query(example);
+  metrics::Counter& influences = metrics::MetricsRegistry::Global().GetCounter(
+      "annotator.influence_fanouts");
+  const int64_t influences_before = influences.Value();
+  int queries = 0;
+  for (const data::Example& example : trace_corpus_->examples) {
+    const int64_t before = nodes.Value();
+    query(example);
+    EXPECT_EQ(nodes.Value() - before, 0) << "case " << queries;
+    ++queries;
+  }
+  EXPECT_GT(queries, 0);
+  // Non-vacuous: the corpus takes the influence backward.
+  EXPECT_GT(influences.Value() - influences_before, 0);
+  // The counter is live: the tape oracle still counts.
+  const int64_t before = nodes.Value();
+  const data::Example& first = trace_corpus_->examples.front();
+  ASSERT_TRUE(pipeline_->classifier()
+                  .Predict(first.tokens,
+                           first.schema().column(0).DisplayTokens())
+                  .ok());
+  EXPECT_GT(nodes.Value() - before, 0);
 }
 
 TEST_F(GoldenTraceTest, TraceCoversEveryStage) {
